@@ -9,9 +9,9 @@ import (
 // the discrete-epoch engine defines. Instead of re-solving the whole
 // max-min allocation and scanning every active flow each epoch, it
 //
-//   - pre-draws the entire arrival calendar from the per-origin
-//     seed-split streams (parallel across origins, merged by origin
-//     index — the draws are bit-identical to the epoch engine's),
+//   - admits from the same pre-drawn arrival calendar as the epoch
+//     engine (buildCalendar), routed per origin once per routing
+//     segment,
 //   - keeps persistent per-link flow sets and marks links dirty when a
 //     flow arrives or departs on them,
 //   - re-solves only the dirty links' dependency closure — the
@@ -26,8 +26,8 @@ import (
 //
 // Determinism: admission order, dirty-list order, component discovery
 // order and the departure heap's (time, flow id) total order are all
-// worker-independent, and the parallel phases (calendar pre-draw, BFS
-// tree builds, component solves) write only index-private state — so
+// worker-independent, and the parallel phases (BFS distance rows,
+// component solves) write only index-private state — so
 // the report is byte-identical at every worker count. Equivalence with
 // the epoch engine is exact on the admitted flow population and exact
 // up to floating-point association order on rates and completion times
@@ -258,10 +258,10 @@ func newEventSim(ctx *simContext, cal flatCalendar, scratch *SimScratch) *eventS
 	// departure heap exactly: without fault injection no admission ever
 	// regrows them (reroutes and retries append extra entries,
 	// amortized as usual — and kept across runs by a shared scratch).
-	if cap(ev.flows) < len(cal.pend) {
-		ev.flows = make([]evFlow, 0, len(cal.pend))
-		ev.flowSeen = make([]int32, 0, len(cal.pend))
-		ev.departures.a = make([]depEvent, 0, len(cal.pend))
+	if total := len(cal.arr); cap(ev.flows) < total {
+		ev.flows = make([]evFlow, 0, total)
+		ev.flowSeen = make([]int32, 0, total)
+		ev.departures.a = make([]depEvent, 0, total)
 	}
 	ev.flows = ev.flows[:0]
 	ev.flowSeen = ev.flowSeen[:0]
@@ -315,63 +315,6 @@ func (ev *eventSim) detach(id int32, epoch int) {
 		ev.nact[g]--
 		ev.markDirty(g)
 	}
-}
-
-// flatCalendar is the pre-drawn arrival calendar flattened into one
-// slab: epoch e's arrivals are pend[offs[e]:offs[e+1]]. One backing
-// array for the whole horizon instead of a slice per epoch, so the
-// per-epoch admission phase allocates nothing — and the total arrival
-// count (len(pend)) sizes the engine's flow table exactly up front.
-type flatCalendar struct {
-	pend []pending
-	offs []int32 // len epochs+1, monotone
-}
-
-func (fc *flatCalendar) epoch(e int) []pending {
-	return fc.pend[fc.offs[e]:fc.offs[e+1]]
-}
-
-// buildCalendar pre-draws every origin's arrivals for the whole horizon
-// — parallel across origins, since each origin draws only from its own
-// split stream — and merges them into per-epoch admission lists in
-// ascending origin order, exactly the order the epoch engine draws in.
-func buildCalendar(ctx *simContext) flatCalendar {
-	epochs := ctx.spec.Epochs
-	dt := ctx.spec.EpochLen
-	type originCal struct {
-		counts []int32
-		pend   []pending
-	}
-	cals := make([]originCal, len(ctx.srcNodes))
-	par.ForEach(len(ctx.srcNodes), par.Workers(ctx.workers), func(_, i int) {
-		oc := originCal{counts: make([]int32, epochs)}
-		for e := 0; e < epochs; e++ {
-			before := len(oc.pend)
-			oc.pend = ctx.drawArrivals(i, dt, oc.pend)
-			oc.counts[e] = int32(len(oc.pend) - before)
-		}
-		cals[i] = oc
-	})
-	total := 0
-	for i := range cals {
-		total += len(cals[i].pend)
-	}
-	fc := flatCalendar{
-		pend: make([]pending, 0, total),
-		offs: make([]int32, epochs+1),
-	}
-	offs := make([]int32, len(cals))
-	for e := 0; e < epochs; e++ {
-		for i := range cals {
-			k := cals[i].counts[e]
-			if k > 0 {
-				fc.pend = append(fc.pend, cals[i].pend[offs[i]:offs[i]+k]...)
-				offs[i] += k
-			}
-		}
-		fc.offs[e+1] = int32(len(fc.pend))
-	}
-	return fc
 }
 
 // closure consumes the dirty list and returns the affected connected
@@ -510,15 +453,14 @@ func simulateEvent(ctx *simContext) (*SimReport, error) {
 
 // simulateEventCal is simulateEvent against an already-built calendar —
 // the seam the steady-state allocation benchmark measures through, so
-// the one-time arrival pre-draw stays outside the measured epochs.
+// the one-time arrival pre-draw stays outside the measured epochs. The
+// calendar must come from buildCalendar over the same context.
 func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 	spec := ctx.spec
 	nLinks := len(ctx.edges)
 	scratch := ctx.cfg.scratch
-	if scratch == nil {
-		scratch = &SimScratch{} // private to this run
-	}
 	ev := newEventSim(ctx, cal, scratch)
+	adm := newAdmission(ctx, cal)
 	rep := &SimReport{Spec: spec, Epochs: make([]EpochStats, 0, spec.Epochs)}
 	dt := ev.dt
 	var (
@@ -542,18 +484,15 @@ func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 	// admission callback and the component-solve body read the epoch's
 	// state through captured variables, so the steady state's marginal
 	// cost carries no closure allocations.
-	admitFlow := func(p pending, path []int32) {
-		if ctx.fail != nil {
-			path = ctx.fail.toBase(path)
-		}
+	admitFlow := func(src int, ar *arrival, path []int32) {
 		tid := ev.nextTID
 		ev.nextTID++
 		if ctx.cfg.trace {
 			rep.Flows = append(rep.Flows, FlowRecord{
-				Src: p.src, Dst: p.dst, Size: p.size, Arrived: now,
+				Src: src, Dst: int(ar.dst), Size: ar.size, Arrived: now,
 			})
 		}
-		ev.attach(tid, int32(p.src), int32(p.dst), path, p.size, now, 0, curEpoch)
+		ev.attach(tid, int32(src), ar.dst, path, ar.size, now, 0, curEpoch)
 		admitted++
 		activeCount++
 	}
@@ -623,10 +562,10 @@ func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 			}
 		}
 
-		// Admission: route the pre-drawn arrivals, create flows, add
-		// them to their links' sets and dirty those links.
+		// Admission: the epoch's pre-drawn arrivals become flows, join
+		// their links' sets and dirty those links.
 		admitted = 0
-		rep.Undelivered += admitPending(ctx.routing(), ctx.workers, cal.epoch(epoch), admitFlow)
+		rep.Undelivered += adm.admit(epoch, admitFlow)
 		rep.Arrived += admitted
 
 		// Re-solve only the affected components, in parallel. Writes are

@@ -708,15 +708,17 @@ func (fs *failState) pathBroken(path []int32) bool {
 	return false
 }
 
-// toBase translates a path of mirror-snapshot edge ids into a fresh
-// base-id slice. Always a copy: the input may alias the private routing
-// state's memo, which the next refreeze remaps in place.
+// toBase translates a path of mirror-snapshot edge ids into base ids
+// appended to the run's path arena. Always a copy: the input may alias
+// the private routing state's memo, which the next refreeze remaps in
+// place.
 func (fs *failState) toBase(path []int32) []int32 {
-	out := make([]int32, len(path))
-	for i, e := range path {
-		out[i] = fs.curToBase[e]
+	sc := fs.ctx.cfg.scratch
+	off := len(sc.runPaths)
+	for _, e := range path {
+		sc.runPaths = append(sc.runPaths, fs.curToBase[e])
 	}
-	return out
+	return sc.runPaths[off:len(sc.runPaths):len(sc.runPaths)]
 }
 
 // resolve routes (src, dst) over the surviving topology, returning the
@@ -725,10 +727,12 @@ func (fs *failState) resolve(src, dst int) ([]int32, bool) {
 	if fs.nodeDown[src] || fs.nodeDown[dst] {
 		return nil, false
 	}
-	path, ok, unreachable := fs.frt.cachedPath(src, dst)
+	rt := fs.frt
+	path, ok, unreachable := rt.cachedPath(src, dst)
 	if !ok {
-		p, reachable := fs.frt.Tree(src).appendPath(nil, dst)
-		fs.frt.storePath(src, dst, p, reachable)
+		p, reachable := rt.Tree(src).appendPath(rt.rsPath[:0], dst)
+		rt.rsPath = p
+		rt.storePath(src, dst, p, reachable)
 		path, unreachable = p, !reachable
 	}
 	if unreachable {

@@ -31,10 +31,12 @@ import (
 //	    -kernels-bench-out BENCH_kernels.json
 //
 // The emitter lives inside the traffic package because exact marginal
-// measurement needs the engine seams a public caller cannot reach: the
-// event engine's pre-drawn calendar must be staged outside the measured
-// region (its per-origin draw slabs grow amortized with the horizon,
-// which would masquerade as per-epoch allocation).
+// measurement needs the engine seams a public caller cannot reach. Both
+// engines admit from a calendar pre-drawn for the whole horizon and
+// pooled in the SimScratch: the epoch row measures through Simulate,
+// where the shared scratch already holds a calendar slab large enough
+// for either horizon, while the event row stages its calendar outside
+// the measured region through buildCalendar and simulateEventCal.
 var (
 	kernelsBenchOut = flag.String("kernels-bench-out", "", "write kernel speedup/allocation rows to this JSON file")
 	kernelsBenchN   = flag.Int("kernels-bench-n", 100000, "cold-tree-build acceptance row map size")

@@ -30,8 +30,8 @@ func (rt *Routing) Snapshot() *graph.Snapshot { return rt.s }
 // Reset rebases the routing state onto an arbitrary snapshot with every
 // cached tree and memoized path dropped — NewRouting(next) in place,
 // but reusing the allocated storage: tree arrays are recycled through
-// the internal pool and handed to the next builds, the tree and path
-// maps keep their buckets, and the arc→edge mapping refills the
+// the internal pool and handed to the next builds, the tree map and the
+// memo keep their buckets and arena, and the arc→edge mapping refills the
 // state's own buffer instead of populating the snapshot's lazy cache.
 // A warm Routing swept across same-sized topologies (the artifact-cache
 // and per-worker-pool patterns) therefore rebuilds its trees without
@@ -48,7 +48,7 @@ func (rt *Routing) Reset(next *graph.Snapshot) {
 		delete(rt.trees, src)
 	}
 	rt.fifo = rt.fifo[:0]
-	clear(rt.paths)
+	rt.memo.reset()
 }
 
 // treeScratch is the reusable per-worker state of one tree repair: the
@@ -211,8 +211,10 @@ func (rt *Routing) Refresh(next *graph.Snapshot, d *graph.Delta, workers int) {
 	// cached and unchanged on pre-existing nodes — then the memoized
 	// path (all of whose nodes predate the refresh) re-reads identically
 	// from the repaired tree, modulo the edge-id renumbering applied
-	// here. Entries of changed or evicted trees are dropped; a cold
-	// rebuild would re-resolve them anyway.
+	// here. Entries of changed or uncached trees are dropped; route
+	// resolution re-resolves them against next. Survivors are compacted
+	// toward the arena's start in arena order, so the remap allocates
+	// nothing and never overwrites a path it has yet to read.
 	if len(rt.changedStamp) < n {
 		rt.changedStamp = append(rt.changedStamp, make([]int32, n-len(rt.changedStamp))...)
 	}
@@ -222,29 +224,46 @@ func (rt *Routing) Refresh(next *graph.Snapshot, d *graph.Delta, workers int) {
 			rt.changedStamp[src] = rt.changedRound
 		}
 	}
-	for key, p := range rt.paths {
+	m := &rt.memo
+	keys, at := m.keys[:0], int32(0)
+	for _, key := range m.keys {
+		sp := m.index[key]
 		src := int(key >> 32)
 		if _, ok := rt.trees[src]; !ok || rt.changedStamp[src] == rt.changedRound {
-			delete(rt.paths, key)
+			delete(m.index, key)
 			continue
 		}
-		drop := false
-		for i, e := range p {
-			ne := oldToNew[e]
-			if ne < 0 {
-				// Cannot happen for an unchanged tree — memoized path arcs
-				// are tree arcs, and trees with a dead arc were flagged
-				// changed above — but a dangling id must never survive
-				// the remap.
-				drop = true
-				break
+		if sp.n > 0 {
+			p := m.arena[sp.off : sp.off+sp.n]
+			drop := false
+			for _, e := range p {
+				if oldToNew[e] < 0 {
+					// Cannot happen for an unchanged tree — memoized path arcs
+					// are tree arcs, and trees with a dead arc were flagged
+					// changed above — but a dangling id must never survive
+					// the remap.
+					drop = true
+					break
+				}
 			}
-			p[i] = ne
+			if drop {
+				delete(m.index, key)
+				continue
+			}
+			dst := m.arena[at : at+sp.n]
+			for i, e := range p {
+				dst[i] = oldToNew[e]
+			}
+			sp.off = at
+			at += sp.n
+		} else {
+			sp.off = at
 		}
-		if drop {
-			delete(rt.paths, key)
-		}
+		m.index[key] = sp
+		keys = append(keys, key)
 	}
+	m.keys = keys
+	m.arena = m.arena[:at]
 }
 
 // repairTree advances one cached tree to next under the delta's

@@ -50,7 +50,9 @@ func cloneRouting(rt *Routing) *Routing {
 	cp := &Routing{s: rt.s, arcEdge: rt.arcEdge, max: rt.max,
 		trees: make(map[int]*rtree, len(rt.trees)),
 		fifo:  append([]int(nil), rt.fifo...),
-		paths: make(map[int64][]int32, len(rt.paths))}
+		memo: pathMemo{index: make(map[int64]pathSpan, len(rt.memo.index)),
+			keys:  append([]int64(nil), rt.memo.keys...),
+			arena: append([]int32(nil), rt.memo.arena...)}}
 	for src, t := range rt.trees {
 		cp.trees[src] = &rtree{
 			dist:   append([]int32(nil), t.dist...),
@@ -58,14 +60,22 @@ func cloneRouting(rt *Routing) *Routing {
 			edge:   append([]int32(nil), t.edge...),
 		}
 	}
-	for k, p := range rt.paths {
-		if p == nil {
-			cp.paths[k] = nil
-		} else {
-			cp.paths[k] = append([]int32(nil), p...)
-		}
+	for k, sp := range rt.memo.index {
+		cp.memo.index[k] = sp
 	}
 	return cp
+}
+
+// memoPaths materializes the routing memo as OD key → path (nil for an
+// unreachable destination), the representation-free view the
+// equivalence checks compare.
+func memoPaths(rt *Routing) map[int64][]int32 {
+	out := make(map[int64][]int32, len(rt.memo.index))
+	for _, k := range rt.memo.keys {
+		p, _, _ := rt.cachedPath(int(k>>32), int(int32(k)))
+		out[k] = p
+	}
+	return out
 }
 
 // requireRoutingEqual compares two routing states entry by entry.
@@ -86,7 +96,7 @@ func requireRoutingEqual(t *testing.T, label string, got, want *Routing) {
 			t.Fatalf("%s: tree %d diverged", label, src)
 		}
 	}
-	if !reflect.DeepEqual(got.paths, want.paths) {
+	if !reflect.DeepEqual(memoPaths(got), memoPaths(want)) {
 		t.Fatalf("%s: memoized paths diverged", label)
 	}
 }
@@ -152,7 +162,7 @@ func TestRoutingRefreshEquivalence(t *testing.T) {
 		}
 		// Every surviving memo entry must re-read identically from its
 		// origin's repaired tree.
-		for key, p := range rt.paths {
+		for key, p := range memoPaths(rt) {
 			src, dst := int(key>>32), int(int32(key))
 			tree, ok := rt.trees[src]
 			if !ok {
@@ -266,7 +276,7 @@ func TestRoutingRefreshUnderChurn(t *testing.T) {
 				t.Fatalf("epoch %d: churned tree %d diverged from cold build", epoch, src)
 			}
 		}
-		for key, p := range rt.paths {
+		for key, p := range memoPaths(rt) {
 			src, dst := int(key>>32), int(int32(key))
 			tree, ok := rt.trees[src]
 			if !ok {

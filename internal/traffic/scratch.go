@@ -1,9 +1,10 @@
 package traffic
 
 // SimScratch pools the simulation engines' run-to-run state: the
-// water-filling allocator, the epoch engine's flow freelist and
-// arrival/active buffers, the event engine's whole link/flow state, and
-// the per-worker solver heaps. A fresh Simulate call builds all of this
+// arrival calendar and admission buffers both engines share, the
+// water-filling allocator, the epoch engine's flow freelist and active
+// buffer, the event engine's whole link/flow state, and the per-worker
+// solver heaps. A fresh Simulate call builds all of this
 // from nothing and lets it die with the run; a caller that simulates
 // repeatedly — a sweep, a policy search, the steady-state benchmarks —
 // passes one SimScratch through WithSimScratch and every buffer keeps
@@ -18,10 +19,19 @@ package traffic
 type SimScratch struct {
 	wf        *wfState
 	freeFlows []*simFlow
-	pend      []pending
 	active    []*simFlow
 	ev        *eventSim
 	solvers   []*shareHeap
+
+	// Admission state: the pre-drawn calendar, the per-origin resolve
+	// and admit cursors, the origins with arrivals left to admit, the
+	// origins a routing segment owes BFS rows, and the run arena of
+	// paths that live outside the routing memo.
+	cal          flatCalendar
+	resAt, admAt []int32
+	live, need   []int32
+	rowSrcs      []int
+	runPaths     []int32
 }
 
 // NewSimScratch returns an empty scratch ready to thread through

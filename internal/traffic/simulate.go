@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"errors"
+	"math"
 
 	"netmodel/internal/engine"
 	"netmodel/internal/graph"
@@ -10,41 +11,41 @@ import (
 	"netmodel/internal/rng"
 )
 
-// Routing is the memoizable routing state of a frozen snapshot: one
-// shortest-path tree per origin, built on demand and cached under a
-// deterministic FIFO budget so workload simulations reuse paths across
-// epochs without holding N trees for a 100k-node map. Tree construction
-// is a pure function of (snapshot, source) — BFS discovery order over
-// the CSR arc arrays — so a flow's path never depends on the worker
-// count or on which epochs demanded which trees first.
+// Routing is the memoizable routing state of a frozen snapshot: a memo
+// of resolved origin-destination paths plus a small FIFO cache of whole
+// shortest-path trees. A simulation resolves its arrivals per origin
+// (routeSegment): memoized OD pairs cost one lookup, and an origin
+// with unmemoized destinations pays one hybrid BFS distance row — or
+// reuses its cached tree — and walks each missing path from the
+// destination by canonical parent selection. Paths are a pure function
+// of (snapshot, origin, destination) — the min-id parent one hop closer
+// — so a flow's path never depends on the worker count, on which runs
+// warmed the memo, or on which trees happen to be cached.
 //
-// Routing is not safe for concurrent use; Ensure shards tree builds
-// internally, but callers (the sequential simulation loop) must not
-// query one Routing from several goroutines.
+// Routing is not safe for concurrent use; Ensure and route resolution
+// shard BFS work internally, but callers (the sequential simulation
+// loop) must not query one Routing from several goroutines.
 type Routing struct {
 	s       *graph.Snapshot
 	arcEdge []int32
 	max     int // tree-cache budget, a pure function of the node count
 	trees   map[int]*rtree
 	fifo    []int // cached sources, oldest first
-	// paths memoizes resolved origin-destination paths (nil = dst
-	// unreachable from src). A path is ~40 bytes against ~12n for a
-	// tree, so repeated OD pairs — re-runs over one snapshot, heavy
-	// origins inside one run — skip the BFS entirely even after the
-	// tree cache evicted the origin's tree.
-	paths map[int64][]int32
-
-	// Admission scratch, persisted so a steady-state epoch whose OD
-	// pairs are all memoized admits without allocating (admitPending).
-	admPaths   [][]int32
-	admUnreach []bool
-	admMiss    []int
-	admBatch   []int
+	// memo holds resolved OD paths in one flat arena. A path is ~20
+	// bytes against ~12n for a tree, so repeated OD pairs — re-runs over
+	// one snapshot, load ladders over a shared state — skip the BFS
+	// entirely.
+	memo pathMemo
+	// builds counts BFS distance fields computed on the routing path:
+	// trees built by Ensure and distance rows computed by route
+	// resolution.
+	builds int
 
 	// Tree-storage pool: evicted and Reset trees park here and hand
 	// their arrays to the next build, and Ensure's batch buffers
 	// persist — so a warm Routing swept across same-sized topologies
-	// (Routing.Reset) rebuilds its trees without allocating.
+	// (Routing.Reset) rebuilds its trees without allocating. Cached plus
+	// pooled trees never exceed max(budget, batch size).
 	free      []*rtree
 	enMissing []int
 	enBuilt   []*rtree
@@ -53,6 +54,11 @@ type Routing struct {
 	// stamped array instead of a per-call map.
 	enStamp []int32
 	enRound int32
+
+	// Route-resolution scratch: the distance rows of one parallel chunk
+	// of origins and the path being walked.
+	rsRows [][]int32
+	rsPath []int32
 
 	// Refresh scratch, persisted so a steady-state tree repair at fixed
 	// n allocates nothing (Routing.Refresh). rfBody is the repair
@@ -84,23 +90,61 @@ const routingPathBudget = 1 << 18
 
 func pathKey(src, dst int) int64 { return int64(src)<<32 | int64(uint32(dst)) }
 
+// pathSpan locates one memoized path in the memo arena; n < 0 marks an
+// unreachable destination.
+type pathSpan struct{ off, n int32 }
+
+// pathMemo is the OD path memo: an index of spans into one flat arena
+// of snapshot edge ids, with the keys kept in arena order so Refresh
+// can remap and compact the arena in place.
+type pathMemo struct {
+	index map[int64]pathSpan
+	keys  []int64
+	arena []int32
+}
+
+// path returns the arena slice of a reachable span, capacity-clipped
+// so a holder's append can never write into the arena.
+func (m *pathMemo) path(sp pathSpan) []int32 {
+	return m.arena[sp.off : sp.off+sp.n : sp.off+sp.n]
+}
+
+// store memoizes a resolved path while the budget lasts and reports
+// its span and whether it was stored.
+func (m *pathMemo) store(key int64, path []int32, reachable bool) (pathSpan, bool) {
+	if len(m.index) >= routingPathBudget {
+		return pathSpan{}, false
+	}
+	sp := pathSpan{off: int32(len(m.arena)), n: -1}
+	if reachable {
+		sp.n = int32(len(path))
+		m.arena = append(m.arena, path...)
+	}
+	m.index[key] = sp
+	m.keys = append(m.keys, key)
+	return sp, true
+}
+
+func (m *pathMemo) reset() {
+	clear(m.index)
+	m.keys = m.keys[:0]
+	m.arena = m.arena[:0]
+}
+
 // cachedPath returns the memoized path for (src, dst): path, whether
 // the pair is cached at all, and whether dst is unreachable from src.
 func (rt *Routing) cachedPath(src, dst int) (path []int32, ok, unreachable bool) {
-	p, ok := rt.paths[pathKey(src, dst)]
-	return p, ok, ok && p == nil
+	sp, ok := rt.memo.index[pathKey(src, dst)]
+	if !ok || sp.n < 0 {
+		return nil, ok, ok
+	}
+	return rt.memo.path(sp), true, false
 }
 
-// storePath memoizes a resolved (src, dst) path (nil for unreachable)
-// while the budget lasts.
+// storePath memoizes a resolved (src, dst) path (copied into the memo
+// arena) while the budget lasts.
 func (rt *Routing) storePath(src, dst int, path []int32, reachable bool) {
-	if len(rt.paths) >= routingPathBudget {
-		return
-	}
-	if !reachable {
-		path = nil
-	}
-	rt.paths[pathKey(src, dst)] = path
+	rt.memo.store(pathKey(src, dst), path, reachable)
 }
 
 // rtree is one origin's BFS tree over the snapshot.
@@ -110,14 +154,17 @@ type rtree struct {
 	edge   []int32 // snapshot edge id of (v, parent[v]), -1 where parent is
 }
 
-// routingTreeBudget bounds the memory held by cached trees (~12 bytes
-// per node per tree).
+// routingTreeBudget bounds the memory held by cached and pooled trees
+// (~12 bytes per node per tree).
 const routingTreeBudget = 32 << 20
 
 // RoutingTreeBudget returns the tree-cache entry budget NewRouting
 // configures at n nodes — a pure function of the node count under the
 // fixed byte budget, and the "routing budget" component of artifact
-// cache keys.
+// cache keys. The budget bounds only whole trees (Ensure, failure
+// reroutes); simulation admissions resolve per origin through one
+// scratch distance row and never fill the cache, so a budget below n
+// costs no rebuilds.
 func RoutingTreeBudget(n int) int {
 	max := routingTreeBudget / (12 * (n + 1))
 	if max < 16 {
@@ -129,18 +176,38 @@ func RoutingTreeBudget(n int) int {
 // NewRouting returns empty routing state over the snapshot.
 func NewRouting(s *graph.Snapshot) *Routing {
 	return &Routing{s: s, arcEdge: s.ArcEdgeIDs(), max: RoutingTreeBudget(s.N()),
-		trees: make(map[int]*rtree), paths: make(map[int64][]int32)}
+		trees: make(map[int]*rtree), memo: pathMemo{index: make(map[int64]pathSpan)}}
 }
 
 // TreeBudget returns the configured tree-cache entry budget.
 func (rt *Routing) TreeBudget() int { return rt.max }
 
+// memoEntryBytes approximates one memo index entry: the 16-byte
+// key/value pair plus its share of map bucket overhead.
+const memoEntryBytes = 24
+
 // MemBytes estimates the heap bytes the routing state holds live: the
-// three int32 rows of each cached tree plus the memoized OD paths —
-// the byte cost an artifact cache should charge for a warm Routing.
+// rows of every cached and pooled tree, the pooled route-resolution
+// distance rows, and the OD memo's arena, key list and index — the byte
+// cost an artifact cache should charge for a warm Routing.
 func (rt *Routing) MemBytes() int64 {
-	n := int64(rt.s.N())
-	return int64(len(rt.trees))*12*(n+1) + int64(len(rt.paths))*48
+	var b int64
+	tree := func(t *rtree) {
+		b += 4 * int64(cap(t.dist)+cap(t.parent)+cap(t.edge))
+	}
+	for _, t := range rt.trees {
+		tree(t)
+	}
+	for _, t := range rt.free {
+		tree(t)
+	}
+	for _, row := range rt.rsRows {
+		b += 4 * int64(cap(row))
+	}
+	b += 4 * int64(cap(rt.memo.arena))
+	b += 8 * int64(cap(rt.memo.keys))
+	b += memoEntryBytes * int64(len(rt.memo.index))
+	return b
 }
 
 // newTree pops a pooled tree (arrays intact, contents stale) or
@@ -157,9 +224,9 @@ func (rt *Routing) newTree() *rtree {
 
 // RoutingOf returns the routing state memoized in the engine's
 // per-snapshot cache (key "traffic:routing"): every workload simulation
-// over the engine's current snapshot shares one set of shortest-path
-// trees, and an Advance to a refreshed snapshot drops it with the rest
-// of the version's entries.
+// over the engine's current snapshot shares one path memo, and an
+// Advance to a refreshed snapshot drops it with the rest of the
+// version's entries.
 func RoutingOf(eng *engine.Engine) *Routing {
 	return eng.Cached("traffic:routing", func() any {
 		return NewRouting(eng.Snapshot())
@@ -170,8 +237,8 @@ func RoutingOf(eng *engine.Engine) *Routing {
 // one hop closer to the source, with the snapshot edge id toward it
 // (-1, -1 at the source and for unreachable nodes). The choice is a
 // pure function of the distance field — not of BFS discovery order — so
-// cold builds and incremental repairs (Routing.Refresh) produce the
-// tree entry for entry.
+// cold builds, incremental repairs (Routing.Refresh) and per-hop path
+// walks over a bare distance row all produce the same entry.
 func selectParent(s *graph.Snapshot, arcEdge []int32, dist []int32, v int) (parent, edge int32) {
 	dv := dist[v]
 	if dv <= 0 {
@@ -223,12 +290,29 @@ func buildTree(s *graph.Snapshot, arcEdge []int32, src int) *rtree {
 	return t
 }
 
+// bfsScratch returns worker w's pooled BFS scratch, sized to n.
+func (rt *Routing) bfsScratch(w, n int) *metrics.BFSScratch {
+	if rt.enScratch[w] == nil {
+		rt.enScratch[w] = metrics.NewBFSScratch(n)
+	}
+	return rt.enScratch[w]
+}
+
+// growScratch makes room for w workers' BFS scratch.
+func (rt *Routing) growScratch(w int) {
+	for len(rt.enScratch) < w {
+		rt.enScratch = append(rt.enScratch, nil)
+	}
+}
+
 // Ensure builds the trees of the given sources (ascending, no
 // duplicates) that are not cached yet, sharding the builds across
 // workers (<= 0 means GOMAXPROCS), and protects the whole set from
-// eviction until the next Ensure. Builds write index-private slots and
-// insert in source order, so the cache state after Ensure is
-// worker-count invariant.
+// eviction until the next Ensure. The oldest entries outside the batch
+// are evicted before building, into the pool the builds draw from, so
+// cached plus pooled trees never exceed max(budget, len(sources)).
+// Builds write index-private slots and insert in source order, so the
+// cache state after Ensure is worker-count invariant.
 func (rt *Routing) Ensure(sources []int, workers int) {
 	if len(sources) == 0 {
 		return
@@ -246,6 +330,22 @@ func (rt *Routing) Ensure(sources []int, workers int) {
 		}
 	}
 	rt.enMissing = missing
+	budget := rt.max
+	if budget < len(sources) {
+		budget = len(sources)
+	}
+	// Evict the oldest non-batch entries first, so the batch's builds
+	// recycle their arrays instead of growing the pool.
+	evict := len(rt.trees) + len(missing) - budget
+	for i := 0; evict > 0 && i < len(rt.fifo); i++ {
+		src := rt.fifo[i]
+		if rt.enStamp[src] == rt.enRound {
+			continue
+		}
+		rt.free = append(rt.free, rt.trees[src])
+		delete(rt.trees, src)
+		evict--
+	}
 	for len(rt.enBuilt) < len(missing) {
 		rt.enBuilt = append(rt.enBuilt, nil)
 	}
@@ -257,33 +357,25 @@ func (rt *Routing) Ensure(sources []int, workers int) {
 		built[i] = rt.newTree()
 	}
 	w := par.Workers(workers)
-	for len(rt.enScratch) < w {
-		rt.enScratch = append(rt.enScratch, nil)
-	}
+	rt.growScratch(w)
 	if w <= 1 {
 		// Inline, closure-free: the sequential path is the steady state of
 		// sweep cells (Workers=1) and must stay allocation-free once the
 		// scratch exists (see the kernels-routing-reset ceiling).
-		if rt.enScratch[0] == nil {
-			rt.enScratch[0] = metrics.NewBFSScratch(n)
-		}
 		for i := range built {
-			buildTreeInto(built[i], rt.s, rt.arcEdge, missing[i], rt.enScratch[0])
+			buildTreeInto(built[i], rt.s, rt.arcEdge, missing[i], rt.bfsScratch(0, n))
 		}
 	} else {
 		par.ForEach(len(missing), w, func(worker, i int) {
-			if rt.enScratch[worker] == nil {
-				rt.enScratch[worker] = metrics.NewBFSScratch(n)
-			}
-			buildTreeInto(built[i], rt.s, rt.arcEdge, missing[i], rt.enScratch[worker])
+			buildTreeInto(built[i], rt.s, rt.arcEdge, missing[i], rt.bfsScratch(worker, n))
 		})
 	}
-	// Move the batch to the young end of the FIFO, then evict the
-	// oldest entries beyond the budget (never a batch member: the
-	// effective budget covers the whole batch).
+	rt.builds += len(missing)
+	// The surviving non-batch entries keep their order; the batch moves
+	// to the young end.
 	keep := rt.fifo[:0]
 	for _, src := range rt.fifo {
-		if rt.enStamp[src] != rt.enRound {
+		if _, ok := rt.trees[src]; ok && rt.enStamp[src] != rt.enRound {
 			keep = append(keep, src)
 		}
 	}
@@ -292,17 +384,11 @@ func (rt *Routing) Ensure(sources []int, workers int) {
 		rt.trees[src] = built[i]
 		built[i] = nil
 	}
-	budget := rt.max
-	if budget < len(sources) {
-		budget = len(sources)
-	}
-	for len(rt.trees) > budget && len(rt.fifo) > 0 {
-		old := rt.fifo[0]
-		rt.fifo = rt.fifo[1:]
-		if t, ok := rt.trees[old]; ok {
-			rt.free = append(rt.free, t)
-			delete(rt.trees, old)
-		}
+	// Release pooled trees beyond the bound (left over from a larger
+	// batch or a Reset of a larger cache).
+	for len(rt.free) > 0 && len(rt.trees)+len(rt.free) > budget {
+		rt.free[len(rt.free)-1] = nil
+		rt.free = rt.free[:len(rt.free)-1]
 	}
 }
 
@@ -326,6 +412,71 @@ func (t *rtree) appendPath(buf []int32, dst int) ([]int32, bool) {
 		buf = append(buf, t.edge[v])
 	}
 	return buf, true
+}
+
+// appendRowPath is appendPath over a bare distance row: the same
+// canonical parents, selected per hop instead of for every node.
+func appendRowPath(s *graph.Snapshot, arcEdge, dist []int32, buf []int32, dst int) ([]int32, bool) {
+	if dist[dst] < 0 {
+		return buf, false
+	}
+	for v := dst; ; {
+		p, e := selectParent(s, arcEdge, dist, v)
+		if p < 0 {
+			return buf, true
+		}
+		buf = append(buf, e)
+		v = int(p)
+	}
+}
+
+// fillRows computes the BFS distance rows of srcs into the pooled
+// resolution rows (row i for srcs[i]), sharded across workers.
+func (rt *Routing) fillRows(srcs []int, workers int) [][]int32 {
+	n := rt.s.N()
+	for len(rt.rsRows) < len(srcs) {
+		rt.rsRows = append(rt.rsRows, nil)
+	}
+	rows := rt.rsRows[:len(srcs)]
+	for i := range rows {
+		rows[i] = growRow(rows[i], n)
+	}
+	w := par.Workers(workers)
+	rt.growScratch(w)
+	if w <= 1 || len(srcs) == 1 {
+		// Inline, closure-free: the sequential path must stay
+		// allocation-free (see the kernels-*-steady ceilings).
+		for i, src := range srcs {
+			metrics.BFSHybrid(rt.s, src, rows[i], rt.bfsScratch(0, n))
+		}
+	} else {
+		par.ForEach(len(srcs), w, func(worker, i int) {
+			metrics.BFSHybrid(rt.s, srcs[i], rows[i], rt.bfsScratch(worker, n))
+		})
+	}
+	rt.builds += len(srcs)
+	return rows
+}
+
+// walkPath resolves (src, dst) over the origin's distance field — its
+// cached tree t when non-nil, else the bare row dist — and memoizes the
+// result. It returns the path (valid until the next walk) and its span:
+// the length (-1 unreachable) always, the memo offset only when stored
+// (false once the memo budget is spent).
+func (rt *Routing) walkPath(src, dst int, t *rtree, dist []int32) (path []int32, sp pathSpan, stored bool) {
+	var reachable bool
+	if t != nil {
+		path, reachable = t.appendPath(rt.rsPath[:0], dst)
+	} else {
+		path, reachable = appendRowPath(rt.s, rt.arcEdge, dist, rt.rsPath[:0], dst)
+	}
+	rt.rsPath = path
+	sp, stored = rt.memo.store(pathKey(src, dst), path, reachable)
+	if !reachable {
+		return nil, pathSpan{n: -1}, stored
+	}
+	sp.n = int32(len(path))
+	return path, sp, stored
 }
 
 // EpochStats is one simulated epoch's observation row.
@@ -496,12 +647,6 @@ type simFlow struct {
 	path      []int32 // snapshot edge ids
 }
 
-// pending is one drawn-but-unrouted arrival.
-type pending struct {
-	src, dst int
-	size     float64
-}
-
 // simContext is the engine-independent simulation state: the validated
 // spec, per-edge capacities, the per-origin arrival sources and their
 // split streams, and the destination sampler. Both engines draw from
@@ -522,6 +667,8 @@ type simContext struct {
 	sources  []ArrivalSource
 	sizes    SizeDist
 	alias    *rng.Alias
+	// lambda is the aggregate arrival rate, the calendar's size hint.
+	lambda float64
 	// fail is the fault-injection state, nil on the no-failure path.
 	fail *failState
 }
@@ -546,8 +693,7 @@ func Simulate(s *graph.Snapshot, masses []float64, spec WorkloadSpec, r *rng.Ran
 // SimulateWith runs the flow-level workload over the engine's snapshot,
 // reusing the routing state memoized in the engine (RoutingOf) so
 // repeated simulations of one topology — a sweep cell's grid of load
-// factors, a trajectory epoch's re-measurement — share shortest-path
-// trees.
+// factors, a trajectory epoch's re-measurement — share resolved paths.
 //
 // Semantics: time advances in epochs of length spec.EpochLen. At each
 // epoch start every origin's arrival source emits flows (origin o with
@@ -555,8 +701,12 @@ func Simulate(s *graph.Snapshot, masses []float64, spec WorkloadSpec, r *rng.Ran
 // arrival rate spec.LoadFactor·ΣC/spec.MeanSize); each flow draws a
 // destination gravity-weighted (∝ mass, excluding the origin) and a
 // size from the spec's distribution, and follows the origin's BFS
-// shortest-path tree. Within an epoch all active flows share link
-// capacity max-min fairly; completed flows leave at the epoch boundary
+// shortest-path tree. The horizon's arrivals are drawn up front and
+// routed per origin, one BFS per origin and routing segment — the whole
+// horizon, or under fault injection the epochs between two outage
+// events, resolved over the surviving topology — and none for OD pairs
+// the routing memo already holds. Within an epoch all active flows
+// share link capacity max-min fairly; completed flows leave at the epoch boundary
 // with a sub-epoch completion estimate. Every draw comes from streams
 // split off r per origin, and rate allocation is either sequential in
 // deterministic order (spec.Engine "epoch") or solved per bottleneck
@@ -670,11 +820,14 @@ func newSimContext(s *graph.Snapshot, rt *Routing, masses []float64, spec Worklo
 		sources[i] = proc.NewSource(streams[i], lambdaTotal*masses[u]/sumMass)
 	}
 
+	if cfg.scratch == nil {
+		cfg.scratch = &SimScratch{} // private to this run
+	}
 	ctx := &simContext{
 		s: s, rt: rt, spec: spec, cfg: cfg, workers: workers,
 		edges: edges, capEdge: capEdge,
 		srcNodes: srcNodes, streams: streams, sources: sources,
-		sizes: spec.sizeDist(), alias: alias,
+		sizes: spec.sizeDist(), alias: alias, lambda: lambdaTotal,
 	}
 	if spec.Failures != nil && spec.Failures.Active() {
 		fail, err := newFailState(ctx, masses, r)
@@ -686,97 +839,251 @@ func newSimContext(s *graph.Snapshot, rt *Routing, masses []float64, spec Worklo
 	return ctx, nil
 }
 
-// drawArrivals advances origin i's source by one epoch and appends its
-// drawn (dst, size) pairs onto pend. The draw order per origin —
-// arrival count, then per flow destination (with rejection) and size —
-// is the contract both engines share, so pre-drawing a whole horizon
-// origin-by-origin replays the identical stream.
-func (ctx *simContext) drawArrivals(i int, dt float64, pend []pending) []pending {
-	u := ctx.srcNodes[i]
-	k := ctx.sources[i].Arrivals(dt)
-	for j := 0; j < k; j++ {
-		dst := ctx.alias.NextWith(ctx.streams[i])
-		for dst == u {
-			dst = ctx.alias.NextWith(ctx.streams[i])
-		}
-		pend = append(pend, pending{src: u, dst: dst, size: ctx.sizes.Sample(ctx.streams[i])})
-	}
-	return pend
+// arrival is one pre-drawn flow arrival in its origin's calendar row:
+// the epoch it arrives in, its destination and size, and — once its
+// routing segment is resolved — where its path lives.
+type arrival struct {
+	dst   int32
+	epoch int32
+	size  float64
+	// off locates the path: a memo-arena offset when off >= 0, the
+	// run-arena offset ^off when off < 0. n is the path length, -1 for
+	// an unreachable destination (unrouted before resolution).
+	off, n int32
 }
 
-// admitPending routes the epoch's drawn arrivals (grouped by ascending
-// origin). OD pairs already memoized in the routing state resolve
-// without touching a tree; the rest are routed in source-contiguous
-// chunks of at most the routing cache's tree budget: each chunk
-// Ensures its distinct origins (parallel BFS builds) and reads paths
-// before the next chunk can evict them — memory stays bounded by the
-// budget even when one epoch's arrivals span more origins than the
-// cache holds. Reachable flows go to admit in pend order; unreachable
-// ones are counted.
-func admitPending(rt *Routing, workers int, pend []pending, admit func(p pending, path []int32)) (undelivered int) {
-	// The index-parallel buffers persist on the routing state: an epoch
-	// whose OD pairs are all memoized — the steady state of a long run —
-	// admits its arrivals without a single allocation.
-	if cap(rt.admPaths) < len(pend) {
-		rt.admPaths = make([][]int32, len(pend))
-		rt.admUnreach = make([]bool, len(pend))
+// unrouted marks an arrival whose path the resolution pass still owes.
+const unrouted = -2
+
+// flatCalendar is the pre-drawn arrival calendar of the whole horizon
+// in one slab, origin-major: origin i's arrivals are
+// arr[start[i]:start[i+1]], in epoch order. Both engines admit from it
+// and route from it, so one origin's arrivals of a routing segment are
+// contiguous and share one BFS.
+type flatCalendar struct {
+	arr   []arrival
+	start []int32 // len(srcNodes)+1, monotone
+}
+
+// buildCalendar pre-draws every origin's arrivals for the whole horizon
+// into the scratch-pooled slab. Each origin draws from its own split
+// stream — arrival count, then per flow destination (with rejection)
+// and size, epoch after epoch — so the calendar is a pure function of
+// the streams, and admitting it epoch by epoch in ascending origin
+// order replays exactly the per-epoch draw loop it replaced.
+func buildCalendar(ctx *simContext) flatCalendar {
+	sc := ctx.cfg.scratch
+	epochs, dt := ctx.spec.Epochs, ctx.spec.EpochLen
+	arr := sc.cal.arr[:0]
+	// Size the slab for the expected count plus a generous Poisson
+	// margin, so a run without pooled scratch allocates it once; an
+	// absurd load grows by appends instead of reserving it all up front.
+	expect := math.Min(ctx.lambda*float64(epochs)*dt, 1<<24)
+	if hint := int(expect+4*math.Sqrt(expect)) + 16; cap(arr) < hint {
+		arr = make([]arrival, 0, hint)
 	}
-	paths := rt.admPaths[:len(pend)]
-	unreach := rt.admUnreach[:len(pend)]
-	for i := range paths {
-		paths[i] = nil
-		unreach[i] = false
-	}
-	// miss holds the pend indexes whose OD pair is not memoized; pend
-	// is grouped by origin, so miss inherits the grouping.
-	miss := rt.admMiss[:0]
-	for i, p := range pend {
-		path, ok, unreachable := rt.cachedPath(p.src, p.dst)
-		switch {
-		case !ok:
-			miss = append(miss, i)
-		case unreachable:
-			unreach[i] = true
-		default:
-			paths[i] = path
-		}
-	}
-	rt.admMiss = miss
-	for k := 0; k < len(miss); {
-		batch := rt.admBatch[:0]
-		j := k
-		for j < len(miss) {
-			src := pend[miss[j]].src
-			if len(batch) == 0 || batch[len(batch)-1] != src {
-				if len(batch) == rt.max {
-					break
+	start := sc.cal.start[:0]
+	for i, u := range ctx.srcNodes {
+		start = append(start, int32(len(arr)))
+		r := ctx.streams[i]
+		for e := 0; e < epochs; e++ {
+			k := ctx.sources[i].Arrivals(dt)
+			for j := 0; j < k; j++ {
+				dst := ctx.alias.NextWith(r)
+				for dst == u {
+					dst = ctx.alias.NextWith(r)
 				}
-				batch = append(batch, src)
+				arr = append(arr, arrival{dst: int32(dst), epoch: int32(e), size: ctx.sizes.Sample(r)})
 			}
-			j++
 		}
-		rt.admBatch = batch
-		rt.Ensure(batch, workers)
-		for ; k < j; k++ {
-			i := miss[k]
-			p := pend[i]
-			path, ok := rt.Tree(p.src).appendPath(nil, p.dst)
-			rt.storePath(p.src, p.dst, path, ok)
-			if !ok {
-				unreach[i] = true
+	}
+	start = append(start, int32(len(arr)))
+	sc.cal = flatCalendar{arr: arr, start: start}
+	return sc.cal
+}
+
+// segmentEnd returns the end of the routing segment starting at epoch
+// from: the whole horizon without fault injection, else the next epoch
+// whose outage ops change the surviving topology.
+func (ctx *simContext) segmentEnd(from int) int {
+	if ctx.fail == nil {
+		return ctx.spec.Epochs
+	}
+	end := from + 1
+	for end < ctx.spec.Epochs && ctx.fail.tl.Ops(end) == 0 {
+		end++
+	}
+	return end
+}
+
+// admission feeds an engine its arrivals epoch by epoch from the
+// calendar, resolving a routing segment's paths when the first epoch
+// of the segment is admitted. The cursors live in the run's scratch.
+type admission struct {
+	ctx    *simContext
+	cal    flatCalendar
+	resAt  []int32 // per origin: next arrival to resolve
+	admAt  []int32 // per origin: next arrival to admit
+	live   []int32 // ascending origins with arrivals left to admit
+	segEnd int     // first epoch not yet resolved
+}
+
+func newAdmission(ctx *simContext, cal flatCalendar) *admission {
+	sc := ctx.cfg.scratch
+	k := len(ctx.srcNodes)
+	sc.resAt = growRow(sc.resAt, k)
+	sc.admAt = growRow(sc.admAt, k)
+	copy(sc.resAt, cal.start[:k])
+	copy(sc.admAt, cal.start[:k])
+	live := sc.live[:0]
+	for i := 0; i < k; i++ {
+		if cal.start[i+1] > cal.start[i] {
+			live = append(live, int32(i))
+		}
+	}
+	sc.live = live
+	sc.runPaths = sc.runPaths[:0]
+	return &admission{ctx: ctx, cal: cal, resAt: sc.resAt, admAt: sc.admAt, live: live}
+}
+
+// admit hands the epoch's reachable arrivals to fn in ascending origin
+// order — the order both engines number flows in — and returns how many
+// were undeliverable. Under fault injection it must run after the
+// epoch's outage ops are applied: a new segment resolves against the
+// surviving topology.
+func (a *admission) admit(epoch int, fn func(src int, ar *arrival, path []int32)) (undelivered int) {
+	if epoch >= a.segEnd {
+		a.route(epoch)
+	}
+	memo := a.ctx.routing().memo.arena
+	run := a.ctx.cfg.scratch.runPaths
+	live := a.live[:0]
+	for _, i := range a.live {
+		u := a.ctx.srcNodes[i]
+		k, end := a.admAt[i], a.cal.start[i+1]
+		for ; k < end && int(a.cal.arr[k].epoch) == epoch; k++ {
+			ar := &a.cal.arr[k]
+			switch {
+			case ar.n < 0:
+				undelivered++
+			case ar.off < 0:
+				o := ^ar.off
+				fn(u, ar, run[o:o+ar.n:o+ar.n])
+			default:
+				fn(u, ar, memo[ar.off:ar.off+ar.n:ar.off+ar.n])
+			}
+		}
+		a.admAt[i] = k
+		if k < end {
+			live = append(live, i)
+		}
+	}
+	a.live = live
+	return undelivered
+}
+
+// route resolves the paths of every arrival in the segment starting at
+// epoch from, grouped by origin. A first pass answers memoized OD pairs
+// and collects the origins that still owe paths; those are then routed
+// in chunks — each origin's cached tree when the routing state holds
+// one, else one BFS distance row, the chunk's rows computed in parallel
+// — and walked and memoized sequentially in origin order, so the memo
+// (and every path) is worker-count invariant.
+func (a *admission) route(from int) {
+	ctx := a.ctx
+	a.segEnd = ctx.segmentEnd(from)
+	rt := ctx.routing()
+	sc := ctx.cfg.scratch
+	seg := int32(a.segEnd)
+	need := sc.need[:0]
+	for i, u := range ctx.srcNodes {
+		k, end := a.resAt[i], a.cal.start[i+1]
+		owes := false
+		for ; k < end && a.cal.arr[k].epoch < seg; k++ {
+			ar := &a.cal.arr[k]
+			if sp, ok := rt.memo.index[pathKey(u, int(ar.dst))]; ok {
+				a.place(ar, sp, nil)
 				continue
 			}
-			paths[i] = path
+			ar.n = unrouted
+			owes = true
+		}
+		if owes {
+			need = append(need, int32(i))
+		} else {
+			a.resAt[i] = k
 		}
 	}
-	for i, p := range pend {
-		if unreach[i] {
-			undelivered++
-			continue
-		}
-		admit(p, paths[i])
+	sc.need = need
+	chunk := 1
+	if w := par.Workers(ctx.workers); w > 1 {
+		chunk = 2 * w
 	}
-	return undelivered
+	for c := 0; c < len(need); {
+		srcs := sc.rowSrcs[:0]
+		c2 := c
+		for ; c2 < len(need) && len(srcs) < chunk; c2++ {
+			if u := ctx.srcNodes[need[c2]]; rt.trees[u] == nil {
+				srcs = append(srcs, u)
+			}
+		}
+		sc.rowSrcs = srcs
+		rows := rt.fillRows(srcs, ctx.workers)
+		for ; c < c2; c++ {
+			i := need[c]
+			u := ctx.srcNodes[i]
+			t := rt.trees[u]
+			var dist []int32
+			if t == nil {
+				dist, rows = rows[0], rows[1:]
+			}
+			k, end := a.resAt[i], a.cal.start[i+1]
+			for ; k < end && a.cal.arr[k].epoch < seg; k++ {
+				ar := &a.cal.arr[k]
+				if ar.n != unrouted {
+					continue
+				}
+				if sp, ok := rt.memo.index[pathKey(u, int(ar.dst))]; ok {
+					a.place(ar, sp, nil) // a repeat destination of this origin
+					continue
+				}
+				path, sp, stored := rt.walkPath(u, int(ar.dst), t, dist)
+				if stored {
+					path = nil
+				}
+				a.place(ar, sp, path)
+			}
+			a.resAt[i] = k
+		}
+	}
+}
+
+// place points an arrival at its resolved path: the memo span itself,
+// or — when the memo budget is spent (path non-nil) or under fault
+// injection, where flows carry base-topology edge ids — a copy in the
+// run arena.
+func (a *admission) place(ar *arrival, sp pathSpan, path []int32) {
+	ar.n = sp.n
+	if sp.n < 0 {
+		return
+	}
+	fail := a.ctx.fail
+	if path == nil {
+		if fail == nil {
+			ar.off = sp.off
+			return
+		}
+		path = a.ctx.routing().memo.path(sp)
+	}
+	sc := a.ctx.cfg.scratch
+	ar.off = ^int32(len(sc.runPaths))
+	if fail == nil {
+		sc.runPaths = append(sc.runPaths, path...)
+		return
+	}
+	for _, e := range path {
+		sc.runPaths = append(sc.runPaths, fail.curToBase[e])
+	}
 }
 
 // utilOf is load/capacity with the zero-capacity link pinned to zero
@@ -805,9 +1112,6 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 	rep := &SimReport{Spec: spec, Epochs: make([]EpochStats, 0, spec.Epochs)}
 	dt := spec.EpochLen
 	scratch := ctx.cfg.scratch
-	if scratch == nil {
-		scratch = &SimScratch{} // private to this run
-	}
 	if scratch.wf == nil {
 		scratch.wf = newWFState(len(edges))
 	} else {
@@ -823,7 +1127,7 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 		activeSum  int
 		overloaded int
 		flowID     int32
-		pend       = scratch.pend[:0]
+		adm        = newAdmission(ctx, buildCalendar(ctx))
 		// freeFlows recycles departed simFlow entries; in steady state
 		// admissions draw from it instead of the heap. A shared scratch
 		// carries the pool across runs, so the population only grows
@@ -842,20 +1146,17 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 	}
 	// One closure for every epoch's admissions: creating it per epoch
 	// would put one allocation in the steady state's marginal cost.
-	admitFlow := func(p pending, path []int32) {
-		if ctx.fail != nil {
-			path = ctx.fail.toBase(path)
-		}
+	admitFlow := func(src int, ar *arrival, path []int32) {
 		admitted++
 		f := newFlow()
 		*f = simFlow{
-			src: int32(p.src), dst: int32(p.dst), id: flowID,
-			remaining: p.size, arrived: now, rate: -1, path: path,
+			src: int32(src), dst: ar.dst, id: flowID,
+			remaining: ar.size, arrived: now, rate: -1, path: path,
 		}
 		active = append(active, f)
 		if ctx.cfg.trace {
 			rep.Flows = append(rep.Flows, FlowRecord{
-				Src: p.src, Dst: p.dst, Size: p.size, Arrived: now,
+				Src: src, Dst: int(ar.dst), Size: ar.size, Arrived: now,
 			})
 		}
 		flowID++
@@ -923,14 +1224,10 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 			}
 		}
 
-		// Arrivals, in ascending origin order.
-		pend = pend[:0]
-		for i := range ctx.srcNodes {
-			pend = ctx.drawArrivals(i, dt, pend)
-		}
-
+		// Arrivals, in ascending origin order, from the pre-drawn
+		// calendar.
 		admitted = 0
-		rep.Undelivered += admitPending(ctx.routing(), ctx.workers, pend, admitFlow)
+		rep.Undelivered += adm.admit(epoch, admitFlow)
 		rep.Arrived += admitted
 
 		// Max-min fair rates, solved by the pooled water-filler
@@ -1026,7 +1323,7 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 	// actives rejoin the freelist so the flow population stays a closed
 	// pool at its all-time peak.
 	freeFlows = append(freeFlows, active...)
-	scratch.active, scratch.pend, scratch.freeFlows = active[:0], pend[:0], freeFlows
+	scratch.active, scratch.freeFlows = active[:0], freeFlows
 	finishReport(rep, ctx, fctSum, utilSum, activeSum, overloaded, ccdfCounts, avgLoad)
 	return rep, nil
 }
