@@ -16,10 +16,10 @@ import (
 //     flow arrives or departs on them,
 //   - re-solves only the dirty links' dependency closure — the
 //     connected components of the flow–link incidence graph that
-//     contain a membership change — with a lazy-heap water-fill whose
-//     cost is O(flow-hops · log) instead of O(rounds · links), solving
-//     independent components in parallel via par.ForEach and merging by
-//     deterministic component index, and
+//     contain a membership change — on the epoch engine's indexed-heap
+//     water-fill kernel, so a re-solve costs the component's work, not
+//     the whole network's, solving independent components in parallel
+//     via par.ForEach and merging by deterministic component index, and
 //   - predicts each flow's departure on a calendar heap, invalidated by
 //     version counter whenever the flow's rate changes, so epochs in
 //     which a flow's component is untouched cost it nothing.
@@ -105,60 +105,6 @@ func (h *depHeap) pop() depEvent {
 	return root
 }
 
-// shareEntry is one lazy heap entry of the component water-fill: link e
-// offered share `share` at link-version ver. Entries whose version no
-// longer matches are skipped on pop.
-type shareEntry struct {
-	share float64
-	e     int32
-	ver   uint32
-}
-
-// shareHeap is a binary min-heap by (share, edge id) — deterministic
-// bottleneck selection no matter the push order.
-type shareHeap struct{ a []shareEntry }
-
-func (h *shareHeap) reset() { h.a = h.a[:0] }
-
-func (h *shareHeap) less(x, y shareEntry) bool {
-	return x.share < y.share || (x.share == y.share && x.e < y.e)
-}
-
-func (h *shareHeap) push(en shareEntry) {
-	h.a = append(h.a, en)
-	for i := len(h.a) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !h.less(h.a[i], h.a[p]) {
-			break
-		}
-		h.a[i], h.a[p] = h.a[p], h.a[i]
-		i = p
-	}
-}
-
-func (h *shareHeap) pop() shareEntry {
-	root := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < last && h.less(h.a[l], h.a[m]) {
-			m = l
-		}
-		if r < last && h.less(h.a[r], h.a[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		h.a[i], h.a[m] = h.a[m], h.a[i]
-		i = m
-	}
-	return root
-}
-
 // bottleneckComp is one connected component of the flow–link incidence
 // graph touched by this epoch's membership changes, in deterministic
 // discovery order. Components are disjoint, so solving them is
@@ -200,10 +146,9 @@ type eventSim struct {
 	flowSeen []int32
 	queueBuf []int32
 
-	// Solver scratch, written only by the solve owning the link.
-	capRem   []float64
-	nUnfixed []int32
-	linkVer  []uint32
+	// Water-fill kernel arrays, written only by the solve owning the
+	// link.
+	wf wfLinks
 
 	// comps pools the closure's component descriptors: the slice and
 	// each component's links/flows slabs persist across epochs,
@@ -221,10 +166,10 @@ type eventSim struct {
 // scratch-pooled instance when there is one. Everything the run reads
 // before writing is truncated or zeroed here — link membership, loads,
 // closure stamps, the flow table, the departure heap — while pure
-// solver scratch (capRem, nUnfixed, linkVer) only grows: its entries
-// are initialized per solve, and the heaps' orderings never read the
-// version counters, so stale values cannot steer a run. The reset cost
-// is proportional to the topology, paid once per run.
+// solver scratch (the water-fill kernel's per-link arrays) only grows:
+// its entries are initialized per solve, so stale values cannot steer
+// a run. The reset cost is proportional to the topology, paid once per
+// run.
 func newEventSim(ctx *simContext, cal flatCalendar, scratch *SimScratch) *eventSim {
 	nLinks := len(ctx.edges)
 	ev := scratch.ev
@@ -240,10 +185,8 @@ func newEventSim(ctx *simContext, cal flatCalendar, scratch *SimScratch) *eventS
 		ev.inDirty = append(ev.inDirty, make([]bool, nLinks-n)...)
 		ev.inCarrying = append(ev.inCarrying, make([]bool, nLinks-n)...)
 		ev.linkSeen = append(ev.linkSeen, make([]int32, nLinks-n)...)
-		ev.capRem = append(ev.capRem, make([]float64, nLinks-n)...)
-		ev.nUnfixed = append(ev.nUnfixed, make([]int32, nLinks-n)...)
-		ev.linkVer = append(ev.linkVer, make([]uint32, nLinks-n)...)
 	}
+	ev.wf.grow(nLinks)
 	for i := 0; i < nLinks; i++ {
 		ev.lflows[i] = ev.lflows[i][:0]
 		ev.nact[i] = 0
@@ -377,58 +320,39 @@ func (ev *eventSim) closure(epoch int) []bottleneckComp {
 	return ev.comps[:nc]
 }
 
-// solveComponent water-fills one component from scratch: a lazy heap of
-// (capRem/nUnfixed, edge id) keys pops the bottleneck link, fixes its
-// unallocated flows at the bottleneck share, and re-keys every link
-// those flows cross. Each fix costs O(path · log) instead of the epoch
-// engine's O(links) scan per bottleneck round. The component's links
-// and flows are private to this call, so parallel solves never touch
-// shared state.
-func (ev *eventSim) solveComponent(c *bottleneckComp, h *shareHeap) {
+// solveComponent water-fills one component from scratch on the shared
+// indexed-heap kernel (waterfill.go), ranking links by edge id: each
+// round pops the bottleneck link, fixes its unallocated flows at the
+// bottleneck share and re-keys every link those flows cross once. The
+// component's links and flows are private to this call and h belongs
+// to the calling worker, so parallel solves never touch shared state.
+func (ev *eventSim) solveComponent(c *bottleneckComp, h *wfHeap) {
+	k := &ev.wf
+	h.a = h.a[:0]
 	for _, e := range c.links {
-		ev.capRem[e] = ev.capEdge(e)
-		ev.nUnfixed[e] = ev.nact[e]
-		ev.linkVer[e]++
-	}
-	h.reset()
-	for _, e := range c.links {
-		if ev.nUnfixed[e] > 0 {
-			h.push(shareEntry{ev.capRem[e] / float64(ev.nUnfixed[e]), e, ev.linkVer[e]})
+		k.capRem[e] = ev.capEdge(e)
+		k.nflows[e] = ev.nact[e]
+		if k.nflows[e] > 0 {
+			k.push(h, e, e)
 		}
 	}
-	for unfixed := len(c.flows); unfixed > 0 && len(h.a) > 0; {
-		en := h.pop()
-		if en.ver != ev.linkVer[en.e] || ev.nUnfixed[en.e] == 0 {
-			continue // stale key
-		}
-		best := en.e
-		bestShare := ev.capRem[best] / float64(ev.nUnfixed[best])
-		if bestShare < 0 {
-			bestShare = 0 // floating-point slack
+	k.heapify(h)
+	for unfixed := len(c.flows); unfixed > 0; {
+		best, share, ok := k.next(h)
+		if !ok {
+			break
 		}
 		for _, fid := range ev.lflows[best] {
-			f := &ev.flows[fid]
-			if f.rate >= 0 {
-				continue
-			}
-			f.rate = bestShare
-			unfixed--
-			for _, g := range f.path {
-				ev.capRem[g] -= bestShare
-				ev.nUnfixed[g]--
-				ev.linkVer[g]++
-				if ev.nUnfixed[g] > 0 {
-					h.push(shareEntry{ev.capRem[g] / float64(ev.nUnfixed[g]), g, ev.linkVer[g]})
-				}
+			if f := &ev.flows[fid]; f.rate < 0 {
+				f.rate = share
+				h.fixed = append(h.fixed, f.path)
 			}
 		}
-		// Snap the exhausted bottleneck's residue to exactly zero, the
-		// same ulp discipline as the epoch engine — saturated
-		// bottlenecks read utilization 1.0 exactly in both.
-		ev.capRem[best] = 0
+		unfixed -= len(h.fixed)
+		k.settle(h, best, share)
 	}
 	for _, e := range c.links {
-		load := ev.capEdge(e) - ev.capRem[e]
+		load := ev.capEdge(e) - k.capRem[e]
 		if load < 0 {
 			load = 0
 		}
@@ -477,7 +401,7 @@ func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 		comps       []bottleneckComp
 	)
 	for w := par.Workers(ctx.workers); len(scratch.solvers) < w; {
-		scratch.solvers = append(scratch.solvers, &shareHeap{})
+		scratch.solvers = append(scratch.solvers, &wfHeap{})
 	}
 	solvers := scratch.solvers
 	// Both per-epoch hot closures are created once per run — the

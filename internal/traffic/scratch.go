@@ -21,7 +21,7 @@ type SimScratch struct {
 	freeFlows []*simFlow
 	active    []*simFlow
 	ev        *eventSim
-	solvers   []*shareHeap
+	solvers   []*wfHeap
 
 	// Admission state: the pre-drawn calendar, the per-origin resolve
 	// and admit cursors, the origins with arrivals left to admit, the

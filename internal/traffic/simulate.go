@@ -1104,19 +1104,20 @@ func utilOf(load, capacity float64) float64 {
 }
 
 // simulateEpoch is the discrete-epoch reference engine: every epoch
-// re-solves the whole max-min allocation sequentially and scans every
-// active flow. It is deliberately simple — the pinned baseline the
-// event engine is validated against.
+// re-solves the whole max-min allocation sequentially — an indexed-heap
+// water-fill costing O(touched · log L) per bottleneck round over L
+// loaded links (waterfill.go) — and scans every active flow. It is
+// deliberately simple — the pinned baseline the event engine is
+// validated against.
 func simulateEpoch(ctx *simContext) (*SimReport, error) {
 	spec, edges, capEdge := ctx.spec, ctx.edges, ctx.capEdge
 	rep := &SimReport{Spec: spec, Epochs: make([]EpochStats, 0, spec.Epochs)}
 	dt := spec.EpochLen
 	scratch := ctx.cfg.scratch
 	if scratch.wf == nil {
-		scratch.wf = newWFState(len(edges))
-	} else {
-		scratch.wf.ensure(len(edges))
+		scratch.wf = &wfState{}
 	}
+	scratch.wf.ensure(len(edges))
 	var (
 		active     = scratch.active[:0]
 		wf         = scratch.wf
