@@ -12,7 +12,7 @@ build:
 test:
 	$(GO) test -race ./...
 
-# Full benchmark matrix (E1-E12 plus the engine comparisons); one
+# Full benchmark matrix (E1-E12 plus the kernel comparisons); one
 # iteration each, the CI smoke configuration. For real measurements
 # drop -benchtime or raise it.
 bench:
@@ -52,11 +52,10 @@ bench-cache:
 	$(GO) test -run TestCacheBenchJSON -cache-bench-out BENCH_sweep.json .
 
 # Workload acceptance: the flow-level simulator over a frozen BA map
-# at 10k (smoke) and 100k (acceptance) nodes, epoch engine vs event
-# engine over pre-routed flows, event-engine pool widths checked
-# byte-identical and cross-engine per-flow completion times asserted,
-# timings recorded in BENCH_traffic.json. The CI smoke runs a 2k
-# variant under -race, once per engine.
+# at 10k (smoke) and 100k (acceptance) nodes, flows pre-routed by an
+# untimed warmup, the timed run checked byte-identical against a
+# wider pool width, timings recorded in BENCH_traffic.json. The CI
+# smoke runs a 2k variant under -race.
 bench-traffic:
 	$(GO) test -run TestTrafficBenchJSON -traffic-bench-out BENCH_traffic.json .
 
@@ -72,10 +71,12 @@ bench-failures:
 # Kernel acceptance: the zero-alloc hot-path rows. Cold shortest-path
 # tree builds over a degree-8 BA map, classic queue BFS vs the
 # direction-optimizing hybrid (10k smoke row plus the acceptance size,
-# 100k by default, where the hybrid must clear its 2x floor), then the
-# steady-state rows the allocation ceilings gate: per-epoch marginal
-# allocations of both simulation engines and per-refresh allocations of
-# the warm distance map and routing state under edge churn. Rows land
+# 100k by default, where the hybrid must clear its 2x floor), one
+# max-min solve of ~20k tree-routed flows, indexed-heap water-fill vs
+# the scan oracle (3x floor at 100k), then the steady-state rows the
+# allocation ceilings gate: per-epoch marginal allocations of the
+# simulator and per-refresh allocations of the warm distance map and
+# routing state under edge churn. Rows land
 # in BENCH_kernels.json; the CI smoke runs the 10k variant under -race.
 bench-kernels:
 	$(GO) test ./internal/traffic/ -run TestKernelsBenchJSON -kernels-bench-out $(CURDIR)/BENCH_kernels.json

@@ -12,7 +12,7 @@
 //	topoload -model ba -n 2000 -load 0.3,0.6,1.2 -tail 1.3,2.5 -seeds 1,2,3
 //	topoload -model glp -n 5000 -arrivals onoff -sizes lognormal -format csv -o wl.csv
 //	topoload -model ba -n 2000 -load 1 -epochs 50 -workers 8 -format json
-//	topoload -model ba -n 100000 -engine event -load 0.7 -cell-workers 8
+//	topoload -model ba -n 100000 -load 0.7 -cell-workers 8
 //
 // -workers sizes the cell pool and never changes results: every cell
 // draws only from streams split off its own seed and the simulation
@@ -20,14 +20,6 @@
 // width. -cell-workers hands each cell an internal pool instead
 // (sharded generation and parallel shortest-path tree builds) — the
 // knob for few-huge-cell runs.
-//
-// -engine selects the simulator: "epoch" recomputes every link's
-// max-min rates each epoch (the pinned reference), "event" keeps a
-// calendar of arrivals and predicted departures and re-solves only the
-// bottleneck components an event touches, solving independent
-// components in parallel on the cell's pool. Both engines draw the
-// same flows from the same streams and agree on per-flow completion
-// times; the event engine is the fast path for large sparse runs.
 //
 // -failures adds a failure-scenario axis next to the load and tail
 // axes: each listed mode (none, random, degree, load) becomes one
@@ -71,7 +63,6 @@ func run(args []string, stdout io.Writer) error {
 	loads := fs.String("load", "0.5", "comma-separated load factors (offered load / total capacity)")
 	tails := fs.String("tail", "", "comma-separated flow-size tail indexes (default: the distribution's)")
 	arrivals := fs.String("arrivals", "poisson", "arrival process: poisson, onoff")
-	engine := fs.String("engine", traffic.EngineEpoch, "simulation engine: epoch, event")
 	sizes := fs.String("sizes", "pareto", "flow-size distribution: pareto, lognormal, exp")
 	meanSize := fs.Float64("mean-size", 0, "mean flow size in capacity*time units (default 1)")
 	meanOn := fs.Float64("mean-on", 0, "on-off mean on-duration (default 1)")
@@ -122,7 +113,6 @@ func run(args []string, stdout io.Writer) error {
 		cliutil.PositiveInt("-n", *n),
 		cliutil.PositiveFloats("-load", loadFactors),
 		cliutil.PositiveFloats("-tail", tailIndexes),
-		cliutil.OneOf("-engine", *engine, traffic.EngineEpoch, traffic.EngineEvent),
 		cliutil.OneOf("-arrivals", *arrivals, "poisson", "onoff"),
 		cliutil.OneOf("-sizes", *sizes, "pareto", "lognormal", "exp"),
 		cliutil.OneOf("-format", *format, "table", "csv", "json"),
@@ -176,7 +166,7 @@ func run(args []string, stdout io.Writer) error {
 		TrajectoryPaths: *paths,
 		Workload: &sweep.WorkloadAxes{
 			Spec: traffic.WorkloadSpec{
-				Engine:       *engine,
+				Engine:       traffic.EngineEpoch,
 				Arrivals:     *arrivals,
 				Sizes:        *sizes,
 				MeanSize:     *meanSize,

@@ -71,7 +71,7 @@ func TestLoadRejectsBadFlags(t *testing.T) {
 		"bad tail":     {"-tail", "y"},
 		"bad seeds":    {"-seeds", "-2"},
 		"bad arrivals": {"-arrivals", "burst", "-n", "100", "-epochs", "2"},
-		"bad engine":   {"-engine", "quantum", "-n", "100", "-epochs", "2"},
+		"removed flag": {"-engine", "epoch", "-n", "100", "-epochs", "2"},
 		"bad format":   {"-n", "100", "-epochs", "2", "-format", "yaml"},
 		"bad model":    {"-model", "nope", "-n", "100", "-epochs", "2"},
 	} {
@@ -103,54 +103,6 @@ func TestLoadWorkerInvariance(t *testing.T) {
 	}
 	if base == "" || !strings.Contains(base, "wl_mean_fct") {
 		t.Fatalf("workload CSV missing scalar columns:\n%.300s", base)
-	}
-}
-
-// TestLoadEngineInvariance pins the event engine end to end: the same
-// grid run with -engine event is byte-identical at every cell pool
-// width, and its per-cell counts match the epoch engine. (cell-workers
-// is not an invariance axis: >= 2 switches to the sharded generation
-// kernels, which produce different maps by design.)
-func TestLoadEngineInvariance(t *testing.T) {
-	args := []string{"-model", "ba", "-n", "250", "-seeds", "1,2",
-		"-load", "0.4,1.2", "-epochs", "6", "-path-sources", "20", "-format", "csv"}
-	var epochOut, base string
-	{
-		var out bytes.Buffer
-		if err := run(append([]string{"-engine", "epoch"}, args...), &out); err != nil {
-			t.Fatal(err)
-		}
-		epochOut = out.String()
-	}
-	for _, w := range []string{"1", "2", "4"} {
-		var out bytes.Buffer
-		if err := run(append([]string{"-engine", "event", "-workers", w}, args...), &out); err != nil {
-			t.Fatal(err)
-		}
-		if base == "" {
-			base = out.String()
-		} else if out.String() != base {
-			t.Fatalf("-engine event -workers %s output diverged", w)
-		}
-	}
-	// Engines draw identical flows: the integer columns (arrived,
-	// undelivered, completed, residual counts) agree row by row.
-	epRows, evRows := strings.Split(epochOut, "\n"), strings.Split(base, "\n")
-	if len(epRows) != len(evRows) {
-		t.Fatalf("row counts diverged: %d vs %d", len(epRows), len(evRows))
-	}
-	for i := range epRows {
-		epF, evF := strings.Split(epRows[i], ","), strings.Split(evRows[i], ",")
-		if len(epF) < 7 || len(evF) < 7 {
-			continue
-		}
-		// Columns 6..9 are arrived, completed, undelivered, residual_flows.
-		for c := 6; c <= 9 && c < len(epF); c++ {
-			if epF[c] != evF[c] {
-				t.Fatalf("row %d column %d diverged between engines:\nepoch: %s\nevent: %s",
-					i, c, epRows[i], evRows[i])
-			}
-		}
 	}
 }
 

@@ -74,19 +74,4 @@ func main() {
 		}
 		fmt.Println()
 	}
-
-	// Both engines simulate the same semantics from the same streams:
-	// the event engine replaces the per-epoch full re-waterfill with an
-	// arrival/departure calendar and incremental per-component
-	// re-solves — same flows, same completion times, faster at scale.
-	fmt.Println("\nepoch engine vs event engine at load 1.0:")
-	for _, engineName := range []string{traffic.EngineEpoch, traffic.EngineEvent} {
-		spec := traffic.WorkloadSpec{Engine: engineName, LoadFactor: 1.0, Epochs: 30}
-		rep, err := traffic.SimulateWith(eng, masses, spec, rng.New(11))
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %-6s arrived %6d, done %6d, mean FCT %7.3f, overload %5.1f%%\n",
-			engineName, rep.Arrived, rep.Completed, rep.MeanFCT, 100*rep.OverloadFrac)
-	}
 }

@@ -72,7 +72,7 @@ func ParseFloats(s string) ([]float64, error) {
 
 // The validators below are the shared flag-checking vocabulary of the
 // CLIs: each returns a clear one-line error naming the flag, so a typo
-// like "-load -1" or "-engine evnt" fails at the flag layer with an
+// like "-load -1" or "-sizes paretto" fails at the flag layer with an
 // actionable message instead of deep inside a subsystem.
 
 // PositiveInt rejects values that are not strictly positive.

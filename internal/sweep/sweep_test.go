@@ -81,6 +81,20 @@ func TestLoadGrid(t *testing.T) {
 	if _, err := LoadGrid(strings.NewReader(`{"modles": ["ba"]}`)); err == nil {
 		t.Fatal("unknown field must fail")
 	}
+	// The workload spec's engine field still parses: absent or "epoch"
+	// loads and validates, the removed "event" engine fails validation.
+	for _, engine := range []string{``, `"engine": "epoch", `, `"engine": "event", `} {
+		g, err := LoadGrid(strings.NewReader(`{"models": ["ba"], "sizes": [200], "seeds": [1],
+			"workload": {"spec": {` + engine + `"epochs": 4}, "load_factors": [0.5]}}`))
+		if err != nil {
+			t.Fatalf("engine %q: %v", engine, err)
+		}
+		err = g.Validate()
+		if removed := strings.Contains(engine, "event"); removed != (err != nil) ||
+			removed && !strings.Contains(err.Error(), "event engine was removed") {
+			t.Fatalf("engine %q: Validate() = %v", engine, err)
+		}
+	}
 }
 
 // TestSummaryByteIdenticalAcrossWorkers is the sweep determinism

@@ -20,12 +20,12 @@ import (
 // mutable mirror of the topology: outage ops remove edges from the
 // mirror, Refreeze produces a removal delta, and the private routing
 // state rides Routing.Refresh's scoped removal repair, so the surviving
-// topology's shortest paths stay warm across failure epochs. Both
-// traffic engines consume the same state in the same order — reroute
-// affected flows when an alternate path exists, kill them with a
-// recorded fate otherwise, re-admit killed flows under a bounded
-// retry/backoff — which keeps per-flow fates engine-independent and
-// every byte of the report worker-count invariant. The no-failure path
+// topology's shortest paths stay warm across failure epochs. The
+// simulator consumes this state in a fixed order — reroute affected
+// flows when an alternate path exists, kill them with a recorded fate
+// otherwise, re-admit killed flows under a bounded retry/backoff —
+// which keeps per-flow fates and every byte of the report worker-count
+// invariant. The no-failure path
 // (Failures nil or mode "none") never touches any of this.
 
 // The failure modes selectable through FailureSpec.Mode.
@@ -209,7 +209,7 @@ type failureOp struct {
 }
 
 // FailureTimeline is a FailureSpec compiled against a concrete topology
-// and horizon: the per-epoch op lists every engine replays identically,
+// and horizon: the per-epoch op lists the simulation replays,
 // plus the distinct-entity counts the survivability report surfaces.
 type FailureTimeline struct {
 	ops         [][]failureOp
@@ -452,12 +452,12 @@ type killedFlow struct {
 	at        int32 // epoch of the next attempt
 }
 
-// failState is the per-run fault-injection state both engines drive in
-// identical order: the compiled timeline, a mutable mirror of the base
+// failState is the per-run fault-injection state the simulation drives
+// in a fixed order: the compiled timeline, a mutable mirror of the base
 // topology whose refreezes feed the private routing state's scoped
 // removal repair, the base-edge down set, the retry queue, and the
 // survivability accumulators. Flow paths stay in base edge-id space
-// (the capacity, load and flow-set arrays are base-indexed and
+// (the capacity, load and water-fill arrays are base-indexed and
 // persistent); curToBase translates the mirror snapshot's ids on every
 // admission and reroute.
 type failState struct {
@@ -642,9 +642,9 @@ func (fs *failState) setEdgePresence(id int32) {
 
 // beginEpoch applies the epoch's compiled ops to the mirror, refreezes
 // it, advances the private routing state through the removal delta, and
-// folds the epoch into the survivability accumulators. Both engines
-// call it exactly once per epoch, before reroutes, retries and
-// arrivals; fs.flipped tells them whether any topology state moved.
+// folds the epoch into the survivability accumulators. The simulation
+// calls it exactly once per epoch, before reroutes, retries and
+// arrivals; fs.flipped tells it whether any topology state moved.
 func (fs *failState) beginEpoch(epoch int) error {
 	fs.flipped = false
 	if ops := fs.tl.ops[epoch]; len(ops) > 0 {

@@ -11,48 +11,6 @@ import (
 	"netmodel/internal/rng"
 )
 
-// checkFailureAgreement extends the engine-equivalence assertion to the
-// fault-injection surface: per-flow fates (killed, reroutes, retries)
-// must match exactly, and the survivability reports must agree — the
-// integer counters and topology metrics exactly, the FCT inflation up
-// to floating-point association order.
-func checkFailureAgreement(t *testing.T, epoch, event *SimReport, tol float64) {
-	t.Helper()
-	checkEngineAgreement(t, epoch, event, tol)
-	for i := range epoch.Flows {
-		a, b := epoch.Flows[i], event.Flows[i]
-		if a.Killed != b.Killed || a.Reroutes != b.Reroutes || a.Retries != b.Retries {
-			t.Fatalf("flow %d failure fate diverged: epoch killed=%v/reroutes=%d/retries=%d, event killed=%v/reroutes=%d/retries=%d",
-				i, a.Killed, a.Reroutes, a.Retries, b.Killed, b.Reroutes, b.Retries)
-		}
-	}
-	fa, fb := epoch.Failures, event.Failures
-	if (fa == nil) != (fb == nil) {
-		t.Fatalf("failure report presence diverged: %v vs %v", fa != nil, fb != nil)
-	}
-	if fa == nil {
-		return
-	}
-	if fa.LinksFailed != fb.LinksFailed || fa.NodesFailed != fb.NodesFailed ||
-		fa.Killed != fb.Killed || fa.Rerouted != fb.Rerouted || fa.Retried != fb.Retried {
-		t.Fatalf("survivability counters diverged: %+v vs %+v", fa, fb)
-	}
-	if fa.DisconnectedOD != fb.DisconnectedOD || fa.MeanGiantCapacity != fb.MeanGiantCapacity ||
-		fa.MinGiantCapacity != fb.MinGiantCapacity {
-		t.Fatalf("survivability topology metrics diverged: %+v vs %+v", fa, fb)
-	}
-	if !relClose(fa.FCTInflation, fb.FCTInflation, tol) {
-		t.Fatalf("fct inflation diverged: %v vs %v", fa.FCTInflation, fb.FCTInflation)
-	}
-	for i := range epoch.Epochs {
-		a, b := epoch.Epochs[i], event.Epochs[i]
-		if a.LinksDown != b.LinksDown || a.NodesDown != b.NodesDown ||
-			a.Rerouted != b.Rerouted || a.Killed != b.Killed || a.Retried != b.Retried {
-			t.Fatalf("epoch %d failure counts diverged: %+v vs %+v", i, a, b)
-		}
-	}
-}
-
 // TestFailureSpecValidate walks the failure spec's rejection surface.
 func TestFailureSpecValidate(t *testing.T) {
 	cases := []struct {
@@ -149,10 +107,12 @@ func TestCompileFailuresDeterministic(t *testing.T) {
 	}
 }
 
-// TestFailureEnginesAgree is the failure-mode engine-equivalence suite:
-// under identical failure timelines both engines must agree on every
-// flow's fate — rerouted, killed, retried — and on the survivability
-// aggregates.
+// TestFailureEnginesAgree certifies whole simulations under every
+// failure mode: each epoch's rates are max-min fair over the surviving
+// paths, no flow crosses a failed link, and every flow's fate —
+// completed, killed, residual, with its reroutes and retries — balances
+// against the epoch rows and the survivability counters. The name
+// predates the single simulator; the case IDs stay stable.
 func TestFailureEnginesAgree(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -198,10 +158,7 @@ func TestFailureEnginesAgree(t *testing.T) {
 			s := tc.g.Freeze()
 			masses := UniformMasses(tc.n)
 			for _, seed := range tc.seeds {
-				ep := runEngine(t, s, masses, tc.spec, EngineEpoch, seed, 1)
-				evt := runEngine(t, s, masses, tc.spec, EngineEvent, seed, 2)
-				checkFailureAgreement(t, ep, evt, 1e-9)
-				if ep.Failures == nil {
+				if rep := runCertified(t, s, masses, tc.spec, seed, 2); rep.Failures == nil {
 					t.Fatal("failure run must carry a survivability report")
 				}
 			}
@@ -210,38 +167,36 @@ func TestFailureEnginesAgree(t *testing.T) {
 }
 
 // TestFailureWorkerInvariance pins the determinism contract under fault
-// injection: for both engines the full report — spec echo, epoch rows
-// with failure counts, survivability aggregates, flow fates and link
-// loads — is byte-identical at every worker count.
+// injection: the full report — spec echo, epoch rows with failure
+// counts, survivability aggregates, flow fates and link loads — is
+// byte-identical at every worker count.
 func TestFailureWorkerInvariance(t *testing.T) {
 	s := meshGraph(50).Freeze()
-	for _, engine := range []string{EngineEpoch, EngineEvent} {
-		spec := WorkloadSpec{Engine: engine, LoadFactor: 0.8, Epochs: 20, Failures: &FailureSpec{
-			Mode: FailRandom, Links: 5, Nodes: 2, MTBF: 6, MTTR: 2, MaxRetries: 2}}
-		var base []byte
-		for _, workers := range []int{1, 2, 4, 8} {
-			rep, err := Simulate(s, UniformMasses(50), spec, rng.New(11), workers, WithFlowTrace())
-			if err != nil {
-				t.Fatal(err)
-			}
-			data, err := json.Marshal(rep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			link, err := json.Marshal(rep.Links)
-			if err != nil {
-				t.Fatal(err)
-			}
-			flows, err := json.Marshal(rep.Flows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data = append(append(data, link...), flows...)
-			if base == nil {
-				base = data
-			} else if !bytes.Equal(base, data) {
-				t.Fatalf("engine %s workers=%d failure report diverged", engine, workers)
-			}
+	spec := WorkloadSpec{LoadFactor: 0.8, Epochs: 20, Failures: &FailureSpec{
+		Mode: FailRandom, Links: 5, Nodes: 2, MTBF: 6, MTTR: 2, MaxRetries: 2}}
+	var base []byte
+	for _, workers := range []int{1, 2, 4, 8} {
+		rep, err := Simulate(s, UniformMasses(50), spec, rng.New(11), workers, WithFlowTrace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		link, err := json.Marshal(rep.Links)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flows, err := json.Marshal(rep.Flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(append(data, link...), flows...)
+		if base == nil {
+			base = data
+		} else if !bytes.Equal(base, data) {
+			t.Fatalf("workers=%d failure report diverged", workers)
 		}
 	}
 }
@@ -251,25 +206,23 @@ func TestFailureWorkerInvariance(t *testing.T) {
 // epochs, same loads — and emits no survivability report.
 func TestFailureNonePinned(t *testing.T) {
 	s := meshGraph(40).Freeze()
-	for _, engine := range []string{EngineEpoch, EngineEvent} {
-		base := WorkloadSpec{Engine: engine, LoadFactor: 0.7, Epochs: 15, TailIndex: 1.4}
-		withNone := base
-		withNone.Failures = &FailureSpec{Mode: FailNone}
-		repNil, err := Simulate(s, UniformMasses(40), base, rng.New(3), 2, WithFlowTrace())
-		if err != nil {
-			t.Fatal(err)
-		}
-		repNone, err := Simulate(s, UniformMasses(40), withNone, rng.New(3), 2, WithFlowTrace())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if repNone.Failures != nil {
-			t.Fatal("mode none must not produce a survivability report")
-		}
-		repNone.Spec = repNil.Spec // only the echoed spec may differ
-		if !reflect.DeepEqual(repNil, repNone) {
-			t.Fatalf("engine %s: mode none diverged from the nil-failures run", engine)
-		}
+	base := WorkloadSpec{LoadFactor: 0.7, Epochs: 15, TailIndex: 1.4}
+	withNone := base
+	withNone.Failures = &FailureSpec{Mode: FailNone}
+	repNil, err := Simulate(s, UniformMasses(40), base, rng.New(3), 2, WithFlowTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	repNone, err := Simulate(s, UniformMasses(40), withNone, rng.New(3), 2, WithFlowTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repNone.Failures != nil {
+		t.Fatal("mode none must not produce a survivability report")
+	}
+	repNone.Spec = repNil.Spec // only the echoed spec may differ
+	if !reflect.DeepEqual(repNil, repNone) {
+		t.Fatal("mode none diverged from the nil-failures run")
 	}
 }
 
@@ -289,9 +242,7 @@ func TestFailureKillAndRetry(t *testing.T) {
 			{Epoch: 3, Kind: "link", U: 1, V: 2},
 			{Epoch: 5, Kind: "link", U: 1, V: 2, Up: true},
 		}, MaxRetries: 3, RetryAfter: 1}}
-	ep := runEngine(t, s, masses, spec, EngineEpoch, 1, 1)
-	evt := runEngine(t, s, masses, spec, EngineEvent, 1, 2)
-	checkFailureAgreement(t, ep, evt, 1e-9)
+	ep := runCertified(t, s, masses, spec, 1, 2)
 	f := ep.Failures
 	if f.Killed == 0 {
 		t.Fatal("cutting the only path must kill the live flows")
@@ -340,9 +291,7 @@ func TestFailureReroute(t *testing.T) {
 			{Epoch: 4, Kind: "link", U: 0, V: 1},
 			{Epoch: 5, Kind: "link", U: 7, V: 8},
 		}}}
-	ep := runEngine(t, s, UniformMasses(24), spec, EngineEpoch, 2, 1)
-	evt := runEngine(t, s, UniformMasses(24), spec, EngineEvent, 2, 4)
-	checkFailureAgreement(t, ep, evt, 1e-9)
+	ep := runCertified(t, s, UniformMasses(24), spec, 2, 4)
 	f := ep.Failures
 	if f.Rerouted == 0 {
 		t.Fatal("mesh keeps alternates, so some flows must reroute")
@@ -371,9 +320,7 @@ func TestFailureTargetedDegree(t *testing.T) {
 	s := g.Freeze()
 	spec := WorkloadSpec{LoadFactor: 0.3, Epochs: 8,
 		Failures: &FailureSpec{Mode: FailDegree, Nodes: 1, FailAt: 3}}
-	ep := runEngine(t, s, UniformMasses(n), spec, EngineEpoch, 4, 1)
-	evt := runEngine(t, s, UniformMasses(n), spec, EngineEvent, 4, 2)
-	checkFailureAgreement(t, ep, evt, 1e-9)
+	ep := runCertified(t, s, UniformMasses(n), spec, 4, 2)
 	f := ep.Failures
 	if f.NodesFailed != 1 {
 		t.Fatalf("NodesFailed = %d, want 1 (the hub)", f.NodesFailed)

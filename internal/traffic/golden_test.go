@@ -13,7 +13,7 @@ import (
 
 // goldenDigests pins the exact bytes of topoload-shaped simulations:
 // a degree-massed BA map of 400 nodes, two load factors run back to
-// back over one engine (the second reuses the routing memo the first
+// back over one metrics engine (the second reuses the routing memo the first
 // left behind), each report hashed with its link loads and full flow
 // trace. The digests were recorded before per-origin route resolution
 // replaced per-epoch tree builds; any change to a path, a draw or a
@@ -22,9 +22,6 @@ var goldenDigests = map[string]string{
 	"epoch/none":   "f7130dd1285fa6d7f7b2ad9089bbeae435472008927cdcd35c9b781cc59d3355",
 	"epoch/random": "ccd58bb71b19ae2aff29194dfa353e69a2c941b37290a44da6a9eee331e8449a",
 	"epoch/degree": "03a06fad588fd588086e3967cf96f04cd7843bb8bfe5e32b1af2fff021823de4",
-	"event/none":   "d01febd1ef62e3bda0e8db8b5207ab48e4cc7500d70f6d0e5784ae1b2c82225c",
-	"event/random": "be13359318db12872544d7515f8a02f9bffbb536dfcf92c8a3ba81bbbd0d482b",
-	"event/degree": "b2da445a0807e1b638656fb764962bf3762fd768e380a94ef00c8891957beadf",
 }
 
 // goldenFailures are the fault scenarios of the golden runs, both with
@@ -37,7 +34,7 @@ var goldenFailures = map[string]*FailureSpec{
 
 // goldenDigest runs one golden configuration at the given worker count
 // and returns the hex SHA-256 of its reports.
-func goldenDigest(t *testing.T, engineName, failure string, workers int) string {
+func goldenDigest(t *testing.T, failure string, workers int) string {
 	t.Helper()
 	top, err := gen.BA{N: 400, M: 2}.Generate(rng.New(12))
 	if err != nil {
@@ -54,7 +51,7 @@ func goldenDigest(t *testing.T, engineName, failure string, workers int) string 
 	eng := engine.New(snap, engine.WithWorkers(workers))
 	h := sha256.New()
 	for _, load := range []float64{0.5, 0.9} {
-		spec := WorkloadSpec{Engine: engineName, LoadFactor: load, Epochs: 20, Failures: goldenFailures[failure]}
+		spec := WorkloadSpec{Engine: EngineEpoch, LoadFactor: load, Epochs: 20, Failures: goldenFailures[failure]}
 		rep, err := SimulateWith(eng, masses, spec, rng.New(5), WithFlowTrace())
 		if err != nil {
 			t.Fatal(err)
@@ -70,16 +67,14 @@ func goldenDigest(t *testing.T, engineName, failure string, workers int) string 
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestGoldenDigests checks both engines under every golden failure
-// scenario against the recorded digests at worker counts 1, 2, 4, 8.
+// TestGoldenDigests checks every golden failure scenario against the
+// recorded digests at worker counts 1, 2, 4, 8.
 func TestGoldenDigests(t *testing.T) {
-	for _, engineName := range []string{EngineEpoch, EngineEvent} {
-		for _, failure := range []string{"none", "random", "degree"} {
-			key := engineName + "/" + failure
-			for _, workers := range []int{1, 2, 4, 8} {
-				if got := goldenDigest(t, engineName, failure, workers); got != goldenDigests[key] {
-					t.Errorf("%s workers=%d: digest %s, want %s", key, workers, got, goldenDigests[key])
-				}
+	for _, failure := range []string{"none", "random", "degree"} {
+		key := EngineEpoch + "/" + failure
+		for _, workers := range []int{1, 2, 4, 8} {
+			if got := goldenDigest(t, failure, workers); got != goldenDigests[key] {
+				t.Errorf("%s workers=%d: digest %s, want %s", key, workers, got, goldenDigests[key])
 			}
 		}
 	}

@@ -16,30 +16,29 @@ import (
 	"netmodel/internal/rng"
 )
 
-// The kernel benchmarks are the acceptance surface of the zero-alloc
-// hot paths: the direction-optimizing hybrid BFS against the classic
-// queue kernel on cold shortest-path-tree builds, and the marginal
-// allocation cost of one steady-state operation — a simulate epoch in
-// either engine, a DistMap refresh, a Routing refresh — measured by
-// differencing seeded-deterministic runs so one-time setup cancels
-// exactly. The allocation rows are gated from above by benchcheck's
+// The kernel benchmarks are the acceptance surface of the hot paths:
+// the direction-optimizing hybrid BFS against the classic queue kernel
+// on cold shortest-path-tree builds, the indexed-heap max-min
+// water-fill against the scanFill oracle, and the marginal allocation
+// cost of one steady-state operation — a simulate epoch, a DistMap
+// refresh, a Routing refresh — measured by differencing
+// seeded-deterministic runs so one-time setup cancels exactly. The
+// allocation rows are gated from above by benchcheck's
 // max_allocs_per_op / max_bytes_per_op ceilings (0 for the steady
-// states), the speedup row from below by the usual floor:
+// states), the speedup rows from below by the usual floors:
 //
 //	make bench-kernels                      # writes BENCH_kernels.json
 //	go test ./internal/traffic -run TestKernelsBenchJSON \
 //	    -kernels-bench-out BENCH_kernels.json
 //
-// The emitter lives inside the traffic package because exact marginal
-// measurement needs the engine seams a public caller cannot reach. Both
-// engines admit from a calendar pre-drawn for the whole horizon and
-// pooled in the SimScratch: the epoch row measures through Simulate,
-// where the shared scratch already holds a calendar slab large enough
-// for either horizon, while the event row stages its calendar outside
-// the measured region through buildCalendar and simulateEventCal.
+// The emitter lives inside the traffic package because the water-fill
+// rows need the kernel and its oracle, which a public caller cannot
+// reach. The steady-state epoch row measures through Simulate, where
+// the shared scratch already holds a calendar slab large enough for
+// either horizon.
 var (
 	kernelsBenchOut = flag.String("kernels-bench-out", "", "write kernel speedup/allocation rows to this JSON file")
-	kernelsBenchN   = flag.Int("kernels-bench-n", 100000, "cold-tree-build acceptance row map size")
+	kernelsBenchN   = flag.Int("kernels-bench-n", 100000, "acceptance row map size of the cold-tree and water-fill rows")
 )
 
 // kernelsRow is one BENCH_kernels.json row. The allocation fields are
@@ -52,6 +51,7 @@ type kernelsRow struct {
 	N           int      `json:"n"`
 	Epochs      int      `json:"epochs,omitempty"`
 	Sources     int      `json:"sources,omitempty"`
+	Flows       int      `json:"flows,omitempty"`
 	Workers     int      `json:"workers"`
 	Cores       int      `json:"cores"`
 	NumCPU      int      `json:"num_cpu"`
@@ -161,14 +161,86 @@ func kernelsWorkload(tb testing.TB, n, flows int) (*graph.Snapshot, []float64, W
 	return snap, masses, spec
 }
 
-// kernelsEngineSteadyRow measures one engine's marginal allocations per
-// steady-state epoch. Both timed runs share a routing state pre-warmed
-// over the longer horizon (both draw the identical seeded arrival
-// stream, so the warmup resolves every OD pair either run will ask
-// for), and the event engine's calendar is staged outside the measured
-// region — what remains in the difference is exactly the per-epoch cost
-// of the simulation loop.
-func kernelsEngineSteadyRow(t *testing.T, engine string, rows []kernelsRow) []kernelsRow {
+// kernelsWaterfillRows times one max-min solve of a fixed instance:
+// about 20k flows routed over the canonical shortest-path trees of 200
+// origins in a BA map of n nodes, with the multiplicities as
+// capacities. The heap row runs the simulator's pooled kernel warm, as
+// a steady-state epoch does; the scan row runs the scanFill oracle,
+// which rescans every loaded link per bottleneck round (and allocates
+// its arrays per call). Both must produce bit-identical rates.
+func kernelsWaterfillRows(t *testing.T, n int, rows []kernelsRow) []kernelsRow {
+	t.Helper()
+	const (
+		origins   = 200
+		perOrigin = 100
+		reps      = 5
+	)
+	snap := kernelsFreezeBA(t, n, 1)
+	arcEdge := snap.ArcEdgeIDs()
+	r := rng.New(2)
+	caps := make([]float64, snap.M())
+	for i, e := range snap.EdgeList() {
+		caps[i] = float64(e.W)
+	}
+	var paths [][]int32
+	for o := 0; o < origins; o++ {
+		src := r.Intn(snap.N())
+		tree := buildTree(snap, arcEdge, src)
+		for k := 0; k < perOrigin; k++ {
+			if dst := r.Intn(snap.N()); dst != src {
+				if p, ok := tree.appendPath(nil, dst); ok {
+					paths = append(paths, p)
+				}
+			}
+		}
+	}
+	active := make([]*simFlow, len(paths))
+	for i, p := range paths {
+		active[i] = &simFlow{path: p}
+	}
+	wf := &wfState{}
+	wf.ensure(len(caps))
+	heapFill := func() {
+		wf.fill(active, caps)
+		for _, e := range wf.links {
+			wf.nflows[e] = 0
+		}
+	}
+	heapFill() // warm the pooled state
+	want, _, _ := scanFill(paths, caps)
+	for i, f := range active {
+		if !sameBits(f.rate, want[i]) {
+			t.Fatalf("n=%d flow %d: heap rate %v, scan %v", n, i, f.rate, want[i])
+		}
+	}
+	start := time.Now()
+	for i := 0; i < reps; i++ {
+		heapFill()
+	}
+	heap := time.Since(start) / reps
+	start = time.Now()
+	for i := 0; i < reps; i++ {
+		scanFill(paths, caps)
+	}
+	scan := time.Since(start) / reps
+	speedup := float64(scan) / float64(heap)
+	cores, ncpu := runtime.GOMAXPROCS(0), runtime.NumCPU()
+	t.Logf("waterfill n=%d, %d flows: scan %v, heap %v (%.2fx)", n, len(paths), scan, heap, speedup)
+	return append(rows,
+		kernelsRow{Name: "kernels-waterfill-scan", N: n, Sources: origins, Flows: len(paths),
+			Workers: 1, Cores: cores, NumCPU: ncpu, NsPerOp: scan.Nanoseconds()},
+		kernelsRow{Name: "kernels-waterfill-heap", N: n, Sources: origins, Flows: len(paths),
+			Workers: 1, Cores: cores, NumCPU: ncpu, NsPerOp: heap.Nanoseconds(),
+			Speedup: speedup, SpeedupVs: "kernels-waterfill-scan"})
+}
+
+// kernelsEpochSteadyRow measures the simulator's marginal allocations
+// per steady-state epoch. Both timed runs share a routing state
+// pre-warmed over the longer horizon (both draw the identical seeded
+// arrival stream, so the warmup resolves every OD pair either run will
+// ask for) — what remains in the difference is exactly the per-epoch
+// cost of the simulation loop.
+func kernelsEpochSteadyRow(t *testing.T, rows []kernelsRow) []kernelsRow {
 	t.Helper()
 	const (
 		n     = 2000
@@ -177,73 +249,31 @@ func kernelsEngineSteadyRow(t *testing.T, engine string, rows []kernelsRow) []ke
 		e2    = 40
 	)
 	snap, masses, spec := kernelsWorkload(t, n, flows)
-	spec.Engine = engine
 	rt := NewRouting(snap)
 	scr := NewSimScratch()
-	specFor := func(epochs int) WorkloadSpec {
+	run := func(epochs int) {
 		s := spec
 		s.Epochs = epochs
-		return s
+		if _, err := Simulate(snap, masses, s, rng.New(7), 1, WithRouting(rt), WithSimScratch(scr)); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	var allocsPerOp, bytesPerOp float64
-	var t1, t2 time.Duration
-	if engine == EngineEvent {
-		prep := func(epochs int) (*simContext, flatCalendar) {
-			ctx, err := newSimContext(snap, rt, masses, specFor(epochs), rng.New(7), 1, WithSimScratch(scr))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ctx, buildCalendar(ctx)
-		}
-		run := func(epochs int) (uint64, uint64, time.Duration) {
-			ctx, cal := prep(epochs)
-			start := time.Now()
-			a, b := benchutil.MeasureAllocs(func() {
-				if _, err := simulateEventCal(ctx, cal); err != nil {
-					t.Fatal(err)
-				}
-			})
-			return a, b, time.Since(start)
-		}
-		run(e2) // warm the shared routing state over the long horizon
-		a1, b1, d1 := run(e1)
-		a2, b2, d2 := run(e2)
-		// Clamp as benchutil.MarginalAllocs does: a stray runtime
-		// allocation inside the short window (seen under -race) must
-		// read as 0, not as a wrapped uint64.
-		if a2 < a1 {
-			a1 = a2
-		}
-		if b2 < b1 {
-			b1 = b2
-		}
-		allocsPerOp = float64(a2-a1) / float64(e2-e1)
-		bytesPerOp = float64(b2-b1) / float64(e2-e1)
-		t1, t2 = d1, d2
-	} else {
-		run := func(epochs int) {
-			if _, err := Simulate(snap, masses, specFor(epochs), rng.New(7), 1, WithRouting(rt), WithSimScratch(scr)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run(e2) // warm the shared routing state over the long horizon
-		start := time.Now()
-		run(e1)
-		t1 = time.Since(start)
-		allocsPerOp, bytesPerOp = benchutil.MarginalAllocs(e1, e2, run)
-		start = time.Now()
-		run(e2)
-		t2 = time.Since(start)
-	}
+	run(e2) // warm the shared routing state over the long horizon
+	start := time.Now()
+	run(e1)
+	t1 := time.Since(start)
+	allocsPerOp, bytesPerOp := benchutil.MarginalAllocs(e1, e2, run)
+	start = time.Now()
+	run(e2)
+	t2 := time.Since(start)
 	nsPerOp := (t2 - t1).Nanoseconds() / int64(e2-e1)
 	if nsPerOp < 0 {
 		nsPerOp = 0 // timing noise on tiny maps
 	}
 	cores, ncpu := runtime.GOMAXPROCS(0), runtime.NumCPU()
-	t.Logf("%s steady: %.3f allocs/epoch, %.1f B/epoch, ~%dns/epoch", engine, allocsPerOp, bytesPerOp, nsPerOp)
+	t.Logf("epoch steady: %.3f allocs/epoch, %.1f B/epoch, ~%dns/epoch", allocsPerOp, bytesPerOp, nsPerOp)
 	return append(rows, kernelsRow{
-		Name: "kernels-" + engine + "-steady", N: n, Epochs: e2 - e1, Workers: 1,
+		Name: "kernels-epoch-steady", N: n, Epochs: e2 - e1, Workers: 1,
 		Cores: cores, NumCPU: ncpu, NsPerOp: nsPerOp,
 		AllocsPerOp: fptr(allocsPerOp), BytesPerOp: fptr(bytesPerOp),
 	})
@@ -408,8 +438,9 @@ func kernelsRoutingResetRow(t *testing.T, rows []kernelsRow) []kernelsRow {
 }
 
 // TestKernelsBenchJSON emits BENCH_kernels.json: cold-tree-build
-// speedup rows (hybrid vs classic BFS, 10k smoke plus the acceptance
-// size) and the steady-state allocation rows both benchcheck ceilings
+// speedup rows (hybrid vs classic BFS) and water-fill speedup rows
+// (indexed heap vs scan), each at the 10k smoke plus the acceptance
+// size, and the steady-state allocation rows both benchcheck ceilings
 // and the CI race smoke run against. Disabled unless -kernels-bench-out
 // is set.
 func TestKernelsBenchJSON(t *testing.T) {
@@ -424,8 +455,10 @@ func TestKernelsBenchJSON(t *testing.T) {
 	for _, n := range sizes {
 		rows = kernelsColdTreeRows(t, n, rows)
 	}
-	rows = kernelsEngineSteadyRow(t, EngineEpoch, rows)
-	rows = kernelsEngineSteadyRow(t, EngineEvent, rows)
+	for _, n := range sizes {
+		rows = kernelsWaterfillRows(t, n, rows)
+	}
+	rows = kernelsEpochSteadyRow(t, rows)
 	rows = kernelsRefreshRows(t, rows)
 	rows = kernelsRoutingResetRow(t, rows)
 	data, err := json.MarshalIndent(rows, "", "  ")

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -127,8 +128,8 @@ func requireSameFlows(t *testing.T, label string, a, b *SimReport) {
 // growth trajectory with Refresh and pins it against cold rebuilds at
 // every epoch: repaired trees are entry-identical to cold builds,
 // surviving memo entries re-read identically from their trees, refresh
-// is worker-count invariant, and simulations over the refreshed state —
-// both engines — reproduce the cold-rebuild flows.
+// is worker-count invariant, and simulations over the refreshed state
+// reproduce the cold-rebuild flows.
 func TestRoutingRefreshEquivalence(t *testing.T) {
 	top, err := gen.BA{N: 600, M: 2}.Generate(rng.New(2))
 	if err != nil {
@@ -185,19 +186,17 @@ func TestRoutingRefreshEquivalence(t *testing.T) {
 		for u := range masses {
 			masses[u] = float64(next.Degree(u))
 		}
-		for _, engName := range []string{EngineEpoch, EngineEvent} {
-			spec := WorkloadSpec{Engine: engName, LoadFactor: 0.6, Epochs: 6}
-			warm, err := Simulate(next, masses, spec, rng.New(42), 2,
-				WithFlowTrace(), WithRouting(rt))
-			if err != nil {
-				t.Fatalf("epoch %d %s warm: %v", epoch, engName, err)
-			}
-			cold, err := Simulate(next, masses, spec, rng.New(42), 2, WithFlowTrace())
-			if err != nil {
-				t.Fatalf("epoch %d %s cold: %v", epoch, engName, err)
-			}
-			requireSameFlows(t, engName, warm, cold)
+		spec := WorkloadSpec{LoadFactor: 0.6, Epochs: 6}
+		warm, err := Simulate(next, masses, spec, rng.New(42), 2,
+			WithFlowTrace(), WithRouting(rt))
+		if err != nil {
+			t.Fatalf("epoch %d warm: %v", epoch, err)
 		}
+		cold, err := Simulate(next, masses, spec, rng.New(42), 2, WithFlowTrace())
+		if err != nil {
+			t.Fatalf("epoch %d cold: %v", epoch, err)
+		}
+		requireSameFlows(t, fmt.Sprintf("epoch %d", epoch), warm, cold)
 	})
 	if epoch < 5 {
 		t.Fatalf("trajectory too short: %d epochs", epoch)

@@ -99,7 +99,7 @@ func TestRoutingMemBytesCountsHeld(t *testing.T) {
 // TestTreeBuildsPerOriginSegment bounds the routing work of a
 // simulation: each origin costs at most one BFS per routing segment —
 // the whole horizon without failures, the epochs between outage events
-// with them — for both engines at every worker count. The tree budget
+// with them — at every worker count. The tree budget
 // at n=3000 (930 trees) is far below the origin count, which is where
 // per-epoch routing rebuilt nearly every origin's tree every epoch.
 func TestTreeBuildsPerOriginSegment(t *testing.T) {
@@ -117,17 +117,15 @@ func TestTreeBuildsPerOriginSegment(t *testing.T) {
 	}
 	failures := []*FailureSpec{nil,
 		{Mode: FailDegree, Links: 4, Nodes: 1, FailAt: 3, RepairAt: 6, MaxRetries: 1}}
-	for _, engineName := range []string{EngineEpoch, EngineEvent} {
-		for _, fs := range failures {
-			for _, workers := range []int{1, 2, 4} {
-				spec := WorkloadSpec{Engine: engineName, LoadFactor: 0.3, Epochs: 8, Failures: fs}
-				builds, origins, segments := countTreeBuilds(t, snap, masses, spec, workers)
-				t.Logf("%s failures=%v workers=%d: %d builds, %d origins, %d segments",
-					engineName, fs != nil, workers, builds, origins, segments)
-				if bound := origins * segments; builds > bound {
-					t.Errorf("%s failures=%v workers=%d: %d tree builds > %d origins × %d segments",
-						engineName, fs != nil, workers, builds, origins, segments)
-				}
+	for _, fs := range failures {
+		for _, workers := range []int{1, 2, 4} {
+			spec := WorkloadSpec{LoadFactor: 0.3, Epochs: 8, Failures: fs}
+			builds, origins, segments := countTreeBuilds(t, snap, masses, spec, workers)
+			t.Logf("failures=%v workers=%d: %d builds, %d origins, %d segments",
+				fs != nil, workers, builds, origins, segments)
+			if bound := origins * segments; builds > bound {
+				t.Errorf("failures=%v workers=%d: %d tree builds > %d origins × %d segments",
+					fs != nil, workers, builds, origins, segments)
 			}
 		}
 	}
@@ -142,12 +140,7 @@ func countTreeBuilds(t *testing.T, s *graph.Snapshot, masses []float64, spec Wor
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctx.spec.Engine == EngineEvent {
-		_, err = simulateEvent(ctx)
-	} else {
-		_, err = simulateEpoch(ctx)
-	}
-	if err != nil {
+	if _, err := simulateEpoch(ctx); err != nil {
 		t.Fatal(err)
 	}
 	builds, segments = ctx.rt.builds, 1

@@ -1,11 +1,9 @@
 package traffic
 
-// SimScratch pools the simulation engines' run-to-run state: the
-// arrival calendar and admission buffers both engines share, the
-// water-filling allocator, the epoch engine's flow freelist and active
-// buffer, the event engine's whole link/flow state, and the per-worker
-// solver heaps. A fresh Simulate call builds all of this
-// from nothing and lets it die with the run; a caller that simulates
+// SimScratch pools the simulator's run-to-run state: the arrival
+// calendar and admission buffers, the water-filling allocator, and the
+// flow freelist and active buffer. A fresh Simulate call builds all of
+// this from nothing and lets it die with the run; a caller that simulates
 // repeatedly — a sweep, a policy search, the steady-state benchmarks —
 // passes one SimScratch through WithSimScratch and every buffer keeps
 // its high-water capacity across runs, so a run whose demands stay
@@ -17,11 +15,9 @@ package traffic
 // The zero value is ready. Not safe for concurrent use — one scratch
 // serves one Simulate call at a time.
 type SimScratch struct {
-	wf        *wfState
+	wf        wfState
 	freeFlows []*simFlow
 	active    []*simFlow
-	ev        *eventSim
-	solvers   []*wfHeap
 
 	// Admission state: the pre-drawn calendar, the per-origin resolve
 	// and admit cursors, the origins with arrivals left to admit, the

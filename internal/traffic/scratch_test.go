@@ -35,33 +35,29 @@ func TestSimScratchReuseIdentical(t *testing.T) {
 		}}, 1},
 		{"steady-again", WorkloadSpec{LoadFactor: 0.7, Epochs: 12}, 1},
 	}
-	for _, engine := range []string{EngineEpoch, EngineEvent} {
-		// One scratch across all scenarios per engine: each run inherits
-		// buffers the previous, differently-shaped run grew and dirtied.
-		scr := NewSimScratch()
-		for _, sc := range scenarios {
-			spec := sc.spec
-			spec.Engine = engine
-			fresh, err := Simulate(snap, masses, spec, rng.New(41), sc.workers)
-			if err != nil {
-				t.Fatalf("%s/%s fresh: %v", engine, sc.name, err)
-			}
-			shared, err := Simulate(snap, masses, spec, rng.New(41), sc.workers, WithSimScratch(scr))
-			if err != nil {
-				t.Fatalf("%s/%s shared: %v", engine, sc.name, err)
-			}
-			fb, err := json.Marshal(fresh)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sb, err := json.Marshal(shared)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(fb) != string(sb) {
-				t.Fatalf("%s/%s: shared-scratch report diverged\nfresh:  %s\nshared: %s",
-					engine, sc.name, fb, sb)
-			}
+	// One scratch across all scenarios: each run inherits buffers the
+	// previous, differently-shaped run grew and dirtied.
+	scr := NewSimScratch()
+	for _, sc := range scenarios {
+		fresh, err := Simulate(snap, masses, sc.spec, rng.New(41), sc.workers)
+		if err != nil {
+			t.Fatalf("%s fresh: %v", sc.name, err)
+		}
+		shared, err := Simulate(snap, masses, sc.spec, rng.New(41), sc.workers, WithSimScratch(scr))
+		if err != nil {
+			t.Fatalf("%s shared: %v", sc.name, err)
+		}
+		fb, err := json.Marshal(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb, err := json.Marshal(shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(fb) != string(sb) {
+			t.Fatalf("%s: shared-scratch report diverged\nfresh:  %s\nshared: %s",
+				sc.name, fb, sb)
 		}
 	}
 }

@@ -514,8 +514,8 @@ var utilCCDFThresholds = []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1}
 
 // FlowRecord is one admitted flow's trace row, recorded in admission
 // order when the simulation runs with WithFlowTrace. Flow identity (the
-// slice index) is engine-independent: both engines admit the same flows
-// in the same order from the same streams.
+// slice index) is worker-independent: flows are admitted in ascending
+// origin order, epoch by epoch, from the same seed-split streams.
 type FlowRecord struct {
 	Src, Dst int
 	Size     float64
@@ -602,6 +602,9 @@ type simConfig struct {
 	trace    bool
 	rt       *Routing
 	scratch  *SimScratch
+	// epochHook, when set, sees every epoch's active flows right after
+	// their max-min rates are solved. Nil outside tests.
+	epochHook func(ctx *simContext, epoch int, active []*simFlow)
 }
 
 // SimOption is a functional option of Simulate and SimulateWith.
@@ -618,25 +621,24 @@ func WithLinkCapacities(caps []float64) SimOption {
 }
 
 // WithFlowTrace records every admitted flow's completion time in
-// SimReport.Flows — the hook the engine-equivalence suite compares on.
-// Tracing is O(arrivals) memory, so it is opt-in.
+// SimReport.Flows. Tracing is O(arrivals) memory, so it is opt-in.
 func WithFlowTrace() SimOption {
 	return func(c *simConfig) { c.trace = true }
 }
 
 // WithRouting shares a routing state (NewRouting) across simulations,
 // the Simulate-level counterpart of SimulateWith's engine-memoized
-// trees: repeated runs — a benchmark comparing engines, a caller
-// sweeping load factors by hand — skip rebuilding BFS trees for sources
-// already ensured. Trees are per-source deterministic, so sharing never
-// changes results. Across a growth trajectory, advance the shared state
-// to each epoch's snapshot with Routing.Refresh before simulating;
+// trees: repeated runs — a benchmark, a caller sweeping load factors
+// by hand — skip rebuilding BFS trees for sources already ensured.
+// Trees are per-source deterministic, so sharing never changes results.
+// Across a growth trajectory, advance the shared state to each epoch's
+// snapshot with Routing.Refresh before simulating;
 // Simulate rejects a routing state describing a different snapshot.
 func WithRouting(rt *Routing) SimOption {
 	return func(c *simConfig) { c.rt = rt }
 }
 
-// simFlow is one in-flight flow of the epoch engine.
+// simFlow is one in-flight flow.
 type simFlow struct {
 	src, dst  int32
 	id        int32 // admission index, the trace identity
@@ -647,11 +649,9 @@ type simFlow struct {
 	path      []int32 // snapshot edge ids
 }
 
-// simContext is the engine-independent simulation state: the validated
-// spec, per-edge capacities, the per-origin arrival sources and their
-// split streams, and the destination sampler. Both engines draw from
-// exactly this state in exactly the same order, which is what makes
-// their flow populations identical.
+// simContext is the validated input of one simulation run: the spec,
+// per-edge capacities, the per-origin arrival sources and their split
+// streams, and the destination sampler.
 type simContext struct {
 	s       *graph.Snapshot
 	rt      *Routing
@@ -708,10 +708,8 @@ func Simulate(s *graph.Snapshot, masses []float64, spec WorkloadSpec, r *rng.Ran
 // the routing memo already holds. Within an epoch all active flows
 // share link capacity max-min fairly; completed flows leave at the epoch boundary
 // with a sub-epoch completion estimate. Every draw comes from streams
-// split off r per origin, and rate allocation is either sequential in
-// deterministic order (spec.Engine "epoch") or solved per bottleneck
-// component and merged by deterministic component index ("event") — so
-// the report is bit-identical at every worker count either way.
+// split off r per origin and rate allocation is sequential in a fixed
+// order, so the report is bit-identical at every worker count.
 func SimulateWith(eng *engine.Engine, masses []float64, spec WorkloadSpec, r *rng.Rand, opts ...SimOption) (*SimReport, error) {
 	return simulate(eng.Snapshot(), RoutingOf(eng), masses, spec, r, eng.Workers(), opts...)
 }
@@ -721,16 +719,12 @@ func simulate(s *graph.Snapshot, rt *Routing, masses []float64, spec WorkloadSpe
 	if err != nil {
 		return nil, err
 	}
-	if ctx.spec.Engine == EngineEvent {
-		return simulateEvent(ctx)
-	}
 	return simulateEpoch(ctx)
 }
 
-// newSimContext validates the workload and assembles the
-// engine-independent simulation state both engines run from — split
-// from simulate so benchmarks can stage a context (and the event
-// engine's pre-drawn calendar) outside a measured region.
+// newSimContext validates the workload and assembles the state a run
+// starts from — split from simulate so tests can inspect a context's
+// routing counters and draw its calendar on their own.
 func newSimContext(s *graph.Snapshot, rt *Routing, masses []float64, spec WorkloadSpec, r *rng.Rand, workers int, opts ...SimOption) (*simContext, error) {
 	n := s.N()
 	if n < 2 {
@@ -857,9 +851,9 @@ const unrouted = -2
 
 // flatCalendar is the pre-drawn arrival calendar of the whole horizon
 // in one slab, origin-major: origin i's arrivals are
-// arr[start[i]:start[i+1]], in epoch order. Both engines admit from it
-// and route from it, so one origin's arrivals of a routing segment are
-// contiguous and share one BFS.
+// arr[start[i]:start[i+1]], in epoch order. The simulation admits from
+// it and routes from it, so one origin's arrivals of a routing segment
+// are contiguous and share one BFS.
 type flatCalendar struct {
 	arr   []arrival
 	start []int32 // len(srcNodes)+1, monotone
@@ -916,9 +910,10 @@ func (ctx *simContext) segmentEnd(from int) int {
 	return end
 }
 
-// admission feeds an engine its arrivals epoch by epoch from the
-// calendar, resolving a routing segment's paths when the first epoch
-// of the segment is admitted. The cursors live in the run's scratch.
+// admission owns the run's calendar cursors: the simulation admits
+// each epoch's arrivals from the calendar, and a routing segment's
+// paths are resolved when the first epoch of the segment is admitted.
+// The cursors live in the run's scratch.
 type admission struct {
 	ctx    *simContext
 	cal    flatCalendar
@@ -944,42 +939,6 @@ func newAdmission(ctx *simContext, cal flatCalendar) *admission {
 	sc.live = live
 	sc.runPaths = sc.runPaths[:0]
 	return &admission{ctx: ctx, cal: cal, resAt: sc.resAt, admAt: sc.admAt, live: live}
-}
-
-// admit hands the epoch's reachable arrivals to fn in ascending origin
-// order — the order both engines number flows in — and returns how many
-// were undeliverable. Under fault injection it must run after the
-// epoch's outage ops are applied: a new segment resolves against the
-// surviving topology.
-func (a *admission) admit(epoch int, fn func(src int, ar *arrival, path []int32)) (undelivered int) {
-	if epoch >= a.segEnd {
-		a.route(epoch)
-	}
-	memo := a.ctx.routing().memo.arena
-	run := a.ctx.cfg.scratch.runPaths
-	live := a.live[:0]
-	for _, i := range a.live {
-		u := a.ctx.srcNodes[i]
-		k, end := a.admAt[i], a.cal.start[i+1]
-		for ; k < end && int(a.cal.arr[k].epoch) == epoch; k++ {
-			ar := &a.cal.arr[k]
-			switch {
-			case ar.n < 0:
-				undelivered++
-			case ar.off < 0:
-				o := ^ar.off
-				fn(u, ar, run[o:o+ar.n:o+ar.n])
-			default:
-				fn(u, ar, memo[ar.off:ar.off+ar.n:ar.off+ar.n])
-			}
-		}
-		a.admAt[i] = k
-		if k < end {
-			live = append(live, i)
-		}
-	}
-	a.live = live
-	return undelivered
 }
 
 // route resolves the paths of every arrival in the segment starting at
@@ -1090,8 +1049,8 @@ func (a *admission) place(ar *arrival, sp pathSpan, path []int32) {
 // utilization — a dead link carries nothing, whatever crosses it — and
 // utilizations within an ulp-window of saturation snapped to exactly 1:
 // a co-bottleneck whose capacity is mathematically exhausted can land
-// on either side of 1.0 depending on the engine's subtraction order,
-// and the CCDF's ≥1 bin must not flip on that noise.
+// on either side of 1.0 depending on the water-fill's subtraction
+// order, and the CCDF's ≥1 bin must not flip on that noise.
 func utilOf(load, capacity float64) float64 {
 	if capacity <= 0 {
 		return 0
@@ -1103,39 +1062,32 @@ func utilOf(load, capacity float64) float64 {
 	return u
 }
 
-// simulateEpoch is the discrete-epoch reference engine: every epoch
-// re-solves the whole max-min allocation sequentially — an indexed-heap
-// water-fill costing O(touched · log L) per bottleneck round over L
-// loaded links (waterfill.go) — and scans every active flow. It is
-// deliberately simple — the pinned baseline the event engine is
-// validated against.
+// simulateEpoch runs the simulation: every epoch re-solves the whole
+// max-min allocation — an indexed-heap water-fill costing
+// O(touched · log L) per bottleneck round over L loaded links
+// (waterfill.go) — and scans every active flow.
 func simulateEpoch(ctx *simContext) (*SimReport, error) {
 	spec, edges, capEdge := ctx.spec, ctx.edges, ctx.capEdge
 	rep := &SimReport{Spec: spec, Epochs: make([]EpochStats, 0, spec.Epochs)}
 	dt := spec.EpochLen
 	scratch := ctx.cfg.scratch
-	if scratch.wf == nil {
-		scratch.wf = &wfState{}
-	}
 	scratch.wf.ensure(len(edges))
 	var (
 		active     = scratch.active[:0]
-		wf         = scratch.wf
+		wf         = &scratch.wf
 		avgLoad    = make([]float64, len(edges))
 		ccdfCounts = make([]int, len(utilCCDFThresholds))
 		fctSum     float64
 		utilSum    float64
 		activeSum  int
 		overloaded int
-		flowID     int32
 		adm        = newAdmission(ctx, buildCalendar(ctx))
+		cal        = adm.cal
 		// freeFlows recycles departed simFlow entries; in steady state
 		// admissions draw from it instead of the heap. A shared scratch
 		// carries the pool across runs, so the population only grows
 		// when concurrency exceeds its all-time peak.
 		freeFlows = scratch.freeFlows
-		now       float64
-		admitted  int
 	)
 	newFlow := func() *simFlow {
 		if k := len(freeFlows); k > 0 {
@@ -1145,32 +1097,14 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 		}
 		return &simFlow{}
 	}
-	// One closure for every epoch's admissions: creating it per epoch
-	// would put one allocation in the steady state's marginal cost.
-	admitFlow := func(src int, ar *arrival, path []int32) {
-		admitted++
-		f := newFlow()
-		*f = simFlow{
-			src: int32(src), dst: ar.dst, id: flowID,
-			remaining: ar.size, arrived: now, rate: -1, path: path,
-		}
-		active = append(active, f)
-		if ctx.cfg.trace {
-			rep.Flows = append(rep.Flows, FlowRecord{
-				Src: src, Dst: int(ar.dst), Size: ar.size, Arrived: now,
-			})
-		}
-		flowID++
-	}
 	for epoch := 0; epoch < spec.Epochs; epoch++ {
-		now = float64(epoch) * dt
+		now := float64(epoch) * dt
 
 		// Failure phase: apply this epoch's outage ops, then walk the
 		// active flows in admission order — a flow whose path lost a link
 		// reroutes over the surviving topology or dies with a recorded
 		// fate — and re-admit killed flows whose retry backoff expired.
-		// All of it precedes arrivals, in the exact order the event
-		// engine replicates.
+		// All of it precedes arrivals.
 		reroutedNow, killedNow, retriedNow := 0, 0, 0
 		if fail := ctx.fail; fail != nil {
 			if err := fail.beginEpoch(epoch); err != nil {
@@ -1226,14 +1160,57 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 		}
 
 		// Arrivals, in ascending origin order, from the pre-drawn
-		// calendar.
-		admitted = 0
-		rep.Undelivered += adm.admit(epoch, admitFlow)
+		// calendar. A new routing segment resolves first — under fault
+		// injection against the topology the failure phase just left.
+		// Flows are numbered in admission order.
+		if epoch >= adm.segEnd {
+			adm.route(epoch)
+		}
+		memo, run := ctx.routing().memo.arena, scratch.runPaths
+		admitted := 0
+		live := adm.live[:0]
+		for _, i := range adm.live {
+			u := ctx.srcNodes[i]
+			k, end := adm.admAt[i], cal.start[i+1]
+			for ; k < end && int(cal.arr[k].epoch) == epoch; k++ {
+				ar := &cal.arr[k]
+				if ar.n < 0 {
+					rep.Undelivered++
+					continue
+				}
+				var path []int32
+				if o := ^ar.off; ar.off < 0 {
+					path = run[o : o+ar.n : o+ar.n]
+				} else {
+					path = memo[ar.off : ar.off+ar.n : ar.off+ar.n]
+				}
+				f := newFlow()
+				*f = simFlow{
+					src: int32(u), dst: ar.dst, id: int32(rep.Arrived + admitted),
+					remaining: ar.size, arrived: now, rate: -1, path: path,
+				}
+				active = append(active, f)
+				if ctx.cfg.trace {
+					rep.Flows = append(rep.Flows, FlowRecord{
+						Src: u, Dst: int(ar.dst), Size: ar.size, Arrived: now,
+					})
+				}
+				admitted++
+			}
+			adm.admAt[i] = k
+			if k < end {
+				live = append(live, i)
+			}
+		}
+		adm.live = live
 		rep.Arrived += admitted
 
 		// Max-min fair rates, solved by the pooled water-filler
 		// (waterfill.go). Sequential, fixed iteration order.
 		wf.fill(active, capEdge)
+		if ctx.cfg.epochHook != nil {
+			ctx.cfg.epochHook(ctx, epoch, active)
+		}
 
 		// Link observations under the epoch's rates.
 		var epochUtilSum, epochMaxUtil float64
@@ -1325,15 +1302,9 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 	// pool at its all-time peak.
 	freeFlows = append(freeFlows, active...)
 	scratch.active, scratch.freeFlows = active[:0], freeFlows
-	finishReport(rep, ctx, fctSum, utilSum, activeSum, overloaded, ccdfCounts, avgLoad)
-	return rep, nil
-}
 
-// finishReport folds the accumulated sums into the aggregate fields and
-// materializes the CCDF and the time-averaged LoadReport — shared by
-// both engines so the aggregation arithmetic cannot drift apart.
-func finishReport(rep *SimReport, ctx *simContext, fctSum, utilSum float64, activeSum, overloaded int, ccdfCounts []int, avgLoad []float64) {
-	spec, edges, capEdge := ctx.spec, ctx.edges, ctx.capEdge
+	// Fold the accumulated sums into the aggregate fields and
+	// materialize the CCDF and the time-averaged LoadReport.
 	if ctx.fail != nil {
 		rep.Failures = ctx.fail.report()
 	}
@@ -1383,4 +1354,5 @@ func finishReport(rep *SimReport, ctx *simContext, fctSum, utilSum float64, acti
 		load.MeanLoad = loadSum / float64(len(load.Links))
 	}
 	rep.Links = load
+	return rep, nil
 }

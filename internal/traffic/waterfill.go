@@ -1,6 +1,6 @@
 package traffic
 
-// This file is the max-min water-filling kernel both engines run: an
+// This file is the simulator's max-min water-filling kernel: an
 // indexed binary min-heap over the links still carrying unfixed flows,
 // keyed by (equal share, rank). Each bottleneck round pops the root,
 // fixes its unfixed flows at the root's share, releases their claim on
@@ -11,15 +11,13 @@ package traffic
 //
 // The arithmetic is the original scan's, bit for bit: the key is the
 // same capRem/nflows division on the same values, the rank reproduces
-// the scan's strict-< tie-break (first-use order in the epoch engine,
-// edge id in the event engine), flows fix in per-link admission order
-// with the same per-link subtraction order, and the exhausted
-// bottleneck's residue snaps to exactly zero. The epoch engine pools
-// its state behind wfState so a steady-state epoch allocates nothing;
-// the event engine keeps one wfLinks over the whole topology and one
-// wfHeap per solver worker. The ROADMAP's pluggable SharingPolicy
-// layer will slot alternative allocators beside this one, which is why
-// it lives behind its own seam.
+// the scan's strict-< tie-break (first-use order), flows fix in
+// per-link admission order with the same per-link subtraction order,
+// and the exhausted bottleneck's residue snaps to exactly zero. The
+// state is pooled in wfState so a steady-state epoch allocates
+// nothing. The ROADMAP's pluggable SharingPolicy layer will slot
+// alternative allocators beside this one, which is why it lives behind
+// its own seam.
 
 // wfEntry is one heap entry: live link e offers its unfixed flows
 // share; rank breaks share ties.
@@ -33,55 +31,45 @@ func wfLess(x, y wfEntry) bool {
 	return x.share < y.share || (x.share == y.share && x.rank < y.rank)
 }
 
-// wfHeap is one solver's heap plus its round scratch: the paths of the
-// flows the round fixed and the links those paths touched. Ranks are
-// unique, so (share, rank) is a total order and the pop sequence is
-// independent of how the heap was built.
-type wfHeap struct {
-	a       []wfEntry
-	fixed   [][]int32
-	touched []int32
-}
-
-// wfLinks holds the kernel's per-link arrays. Solvers working on
-// link-disjoint components may share one wfLinks, each with its own
-// wfHeap. Every entry is initialized when its link enters a heap, so
-// values left over from earlier solves are never read.
-type wfLinks struct {
+// wfState is the pooled water-filling state: per-link arrays sized to
+// the topology, the heap, and the round scratch. Every per-link entry
+// is initialized when its link first carries a flow in a fill, so
+// values left over from earlier fills are never read. Ranks are unique,
+// so (share, rank) is a total order and the pop sequence is independent
+// of how the heap was built.
+type wfState struct {
 	nflows []int32   // flows still unfixed across the link
 	capRem []float64 // capacity not yet claimed by fixed flows
-	hpos   []int32   // index in the solver's heap; -1 once removed
+	hpos   []int32   // index in the heap; -1 once removed
 	mark   []bool    // touched in the current round
+	lflows [][]int32 // per-link flow indexes, admission order
+	links  []int32   // links carrying active flows, first-use order
+
+	heap    []wfEntry
+	fixed   [][]int32 // paths of the flows the round fixed
+	touched []int32   // links those paths touched
 }
 
-// grow extends the per-link arrays to cover nlinks.
-func (k *wfLinks) grow(nlinks int) {
-	if n := len(k.nflows); n < nlinks {
-		k.nflows = append(k.nflows, make([]int32, nlinks-n)...)
-		k.capRem = append(k.capRem, make([]float64, nlinks-n)...)
-		k.hpos = append(k.hpos, make([]int32, nlinks-n)...)
-		k.mark = append(k.mark, make([]bool, nlinks-n)...)
+// ensure grows the per-link arrays to cover nlinks, for a state pooled
+// across runs on different snapshots. fill's invariant — nflows
+// all-zero between calls, every other entry initialized at first use —
+// holds across runs, so growth is the only work.
+func (wf *wfState) ensure(nlinks int) {
+	if n := len(wf.nflows); n < nlinks {
+		wf.nflows = append(wf.nflows, make([]int32, nlinks-n)...)
+		wf.capRem = append(wf.capRem, make([]float64, nlinks-n)...)
+		wf.hpos = append(wf.hpos, make([]int32, nlinks-n)...)
+		wf.mark = append(wf.mark, make([]bool, nlinks-n)...)
+		wf.lflows = append(wf.lflows, make([][]int32, nlinks-n)...)
+		// The heap and the touched list never hold more than every
+		// link once; sizing them up front spares their doubling copies.
+		wf.heap = make([]wfEntry, 0, nlinks)
+		wf.touched = make([]int32, 0, nlinks)
 	}
 }
 
-// push stages link e, whose capRem and nflows (> 0) are set, with the
-// given rank. Call heapify once every link is staged.
-func (k *wfLinks) push(h *wfHeap, e, rank int32) {
-	h.a = append(h.a, wfEntry{k.capRem[e] / float64(k.nflows[e]), rank, e})
-}
-
-// heapify orders the staged entries into a heap (Floyd, O(L)).
-func (k *wfLinks) heapify(h *wfHeap) {
-	for i, en := range h.a {
-		k.hpos[en.e] = int32(i)
-	}
-	for i := len(h.a)/2 - 1; i >= 0; i-- {
-		k.down(h, i)
-	}
-}
-
-func (k *wfLinks) up(h *wfHeap, i int) {
-	a := h.a
+func (wf *wfState) up(i int) {
+	a := wf.heap
 	x := a[i]
 	for i > 0 {
 		p := (i - 1) / 2
@@ -89,15 +77,15 @@ func (k *wfLinks) up(h *wfHeap, i int) {
 			break
 		}
 		a[i] = a[p]
-		k.hpos[a[i].e] = int32(i)
+		wf.hpos[a[i].e] = int32(i)
 		i = p
 	}
 	a[i] = x
-	k.hpos[x.e] = int32(i)
+	wf.hpos[x.e] = int32(i)
 }
 
-func (k *wfLinks) down(h *wfHeap, i int) {
-	a := h.a
+func (wf *wfState) down(i int) {
+	a := wf.heap
 	n := len(a)
 	x := a[i]
 	for {
@@ -112,114 +100,75 @@ func (k *wfLinks) down(h *wfHeap, i int) {
 			break
 		}
 		a[i] = a[c]
-		k.hpos[a[i].e] = int32(i)
+		wf.hpos[a[i].e] = int32(i)
 		i = c
 	}
 	a[i] = x
-	k.hpos[x.e] = int32(i)
+	wf.hpos[x.e] = int32(i)
 }
 
 // remove drops the entry at heap index i.
-func (k *wfLinks) remove(h *wfHeap, i int) {
-	k.hpos[h.a[i].e] = -1
-	last := len(h.a) - 1
-	x := h.a[last]
-	h.a = h.a[:last]
+func (wf *wfState) remove(i int) {
+	wf.hpos[wf.heap[i].e] = -1
+	last := len(wf.heap) - 1
+	x := wf.heap[last]
+	wf.heap = wf.heap[:last]
 	if i == last {
 		return
 	}
-	h.a[i] = x
-	if i > 0 && wfLess(x, h.a[(i-1)/2]) {
-		k.up(h, i)
+	wf.heap[i] = x
+	if i > 0 && wfLess(x, wf.heap[(i-1)/2]) {
+		wf.up(i)
 	} else {
-		k.down(h, i)
+		wf.down(i)
 	}
 }
 
-// next pops the round's bottleneck — the smallest (share, rank) among
-// live links — and returns it with its share clamped at zero against
-// floating-point slack; ok is false once no link is live.
-func (k *wfLinks) next(h *wfHeap) (best int32, share float64, ok bool) {
-	if len(h.a) == 0 {
-		return -1, 0, false
-	}
-	best, share = h.a[0].e, h.a[0].share
-	k.remove(h, 0)
-	if share < 0 {
-		share = 0
-	}
-	return best, share, true
-}
-
-// settle closes the round on bottleneck best. The engine has set the
-// rates of the flows it fixed at share and queued their paths in
-// h.fixed, in per-link admission order; each link on those paths gives
-// up share of its remaining capacity and one unfixed flow per path,
-// the bottleneck's residue snaps to zero, and each touched link still
-// in the heap is re-keyed once, or dropped when it has no unfixed flow
-// left. Fixing rates before claiming capacity keeps the engines' loops
-// over the bottleneck's flows free of other work, so the cache misses
-// on scattered flow records overlap instead of queueing behind it.
-func (k *wfLinks) settle(h *wfHeap, best int32, share float64) {
-	for _, path := range h.fixed {
+// settle closes the round on bottleneck best. fill has set the rates of
+// the flows it fixed at share and queued their paths in wf.fixed, in
+// per-link admission order; each link on those paths gives up share of
+// its remaining capacity and one unfixed flow per path, the
+// bottleneck's residue snaps to zero, and each touched link still in
+// the heap is re-keyed once, or dropped when it has no unfixed flow
+// left. Fixing rates before claiming capacity keeps the loop over the
+// bottleneck's flows free of other work, so the cache misses on
+// scattered flow records overlap instead of queueing behind it.
+func (wf *wfState) settle(best int32, share float64) {
+	for _, path := range wf.fixed {
 		for _, e := range path {
-			k.capRem[e] -= share
-			k.nflows[e]--
-			if !k.mark[e] {
-				k.mark[e] = true
-				h.touched = append(h.touched, e)
+			wf.capRem[e] -= share
+			wf.nflows[e]--
+			if !wf.mark[e] {
+				wf.mark[e] = true
+				wf.touched = append(wf.touched, e)
 			}
 		}
 	}
-	h.fixed = h.fixed[:0]
+	wf.fixed = wf.fixed[:0]
 	// The bottleneck's flows all just fixed at capRem/n, so its
 	// remaining capacity is exactly zero; snapping away the subtraction
 	// chain's ulp residue makes a saturated bottleneck read utilization
-	// 1.0 exactly — in both engines, which keeps the CCDF's knife-edge
-	// ≥1 bin agreeing.
-	k.capRem[best] = 0
-	for _, e := range h.touched {
-		k.mark[e] = false
-		i := int(k.hpos[e])
+	// 1.0 exactly, which keeps the CCDF's knife-edge ≥1 bin stable.
+	wf.capRem[best] = 0
+	for _, e := range wf.touched {
+		wf.mark[e] = false
+		i := int(wf.hpos[e])
 		if i < 0 {
 			continue // the popped bottleneck
 		}
-		if k.nflows[e] == 0 {
-			k.remove(h, i)
+		if wf.nflows[e] == 0 {
+			wf.remove(i)
 			continue
 		}
-		old := h.a[i].share
-		h.a[i].share = k.capRem[e] / float64(k.nflows[e])
-		if h.a[i].share < old {
-			k.up(h, i)
+		old := wf.heap[i].share
+		wf.heap[i].share = wf.capRem[e] / float64(wf.nflows[e])
+		if wf.heap[i].share < old {
+			wf.up(i)
 		} else {
-			k.down(h, i)
+			wf.down(i)
 		}
 	}
-	h.touched = h.touched[:0]
-}
-
-// wfState is the epoch engine's pooled water-filling state.
-type wfState struct {
-	wfLinks
-	links  []int32   // links carrying active flows, first-use order
-	lflows [][]int32 // per-link flow indexes, admission order
-	heap   wfHeap
-}
-
-// ensure grows the per-link arrays to cover nlinks, for a state pooled
-// across runs on different snapshots. fill's invariant — nflows
-// all-zero between calls, every other entry initialized at first use —
-// holds across runs, so growth is the only work.
-func (wf *wfState) ensure(nlinks int) {
-	wf.grow(nlinks)
-	if n := len(wf.lflows); n < nlinks {
-		wf.lflows = append(wf.lflows, make([][]int32, nlinks-n)...)
-		// The heap and the touched list never hold more than every
-		// link once; sizing them up front spares their doubling copies.
-		wf.heap.a = make([]wfEntry, 0, nlinks)
-		wf.heap.touched = make([]int32, 0, nlinks)
-	}
+	wf.touched = wf.touched[:0]
 }
 
 // fill computes the epoch's max-min fair rates over the active flows:
@@ -243,24 +192,31 @@ func (wf *wfState) fill(active []*simFlow, capEdge []float64) {
 			wf.lflows[e] = append(wf.lflows[e], int32(fi))
 		}
 	}
-	h := &wf.heap
-	h.a = h.a[:0]
+	// Stage every carrying link, then order the heap in place (Floyd,
+	// O(L)).
+	wf.heap = wf.heap[:0]
 	for rank, e := range wf.links {
-		wf.push(h, e, int32(rank))
+		wf.heap = append(wf.heap, wfEntry{wf.capRem[e] / float64(wf.nflows[e]), int32(rank), e})
+		wf.hpos[e] = int32(rank)
 	}
-	wf.heapify(h)
-	for unfixed := len(active); unfixed > 0; {
-		best, share, ok := wf.next(h)
-		if !ok {
-			break // unreachable: every flow crosses at least one link
+	for i := len(wf.heap)/2 - 1; i >= 0; i-- {
+		wf.down(i)
+	}
+	for unfixed := len(active); unfixed > 0 && len(wf.heap) > 0; {
+		// Pop the round's bottleneck, its share clamped at zero against
+		// floating-point slack.
+		best, share := wf.heap[0].e, wf.heap[0].share
+		wf.remove(0)
+		if share < 0 {
+			share = 0
 		}
 		for _, fi := range wf.lflows[best] {
 			if f := active[fi]; f.rate < 0 {
 				f.rate = share
-				h.fixed = append(h.fixed, f.path)
+				wf.fixed = append(wf.fixed, f.path)
 			}
 		}
-		unfixed -= len(h.fixed)
-		wf.settle(h, best, share)
+		unfixed -= len(wf.fixed)
+		wf.settle(best, share)
 	}
 }

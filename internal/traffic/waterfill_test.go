@@ -15,11 +15,10 @@ import (
 // maxMinCertificate, which sees only paths, capacities and rates.
 
 // scanFill is the reference water-filler: every bottleneck round
-// rescans every loaded link for the smallest equal share. Ties go to
-// the earliest first-use link, or with byEdge to the lowest edge id
-// (the event engine's rank). It returns the rates, the loaded links in
+// rescans every loaded link for the smallest equal share, ties to the
+// earliest first-use link. It returns the rates, the loaded links in
 // first-use order and the per-link unclaimed capacity.
-func scanFill(paths [][]int32, caps []float64, byEdge bool) (rates []float64, links []int32, capRem []float64) {
+func scanFill(paths [][]int32, caps []float64) (rates []float64, links []int32, capRem []float64) {
 	nflows := make([]int32, len(caps))
 	capRem = make([]float64, len(caps))
 	lflows := make([][]int32, len(caps))
@@ -43,7 +42,7 @@ func scanFill(paths [][]int32, caps []float64, byEdge bool) (rates []float64, li
 				continue
 			}
 			share := capRem[e] / float64(nflows[e])
-			if best < 0 || share < bestShare || (byEdge && share == bestShare && e < best) {
+			if best < 0 || share < bestShare {
 				best, bestShare = e, share
 			}
 		}
@@ -160,7 +159,7 @@ func randomWFInstance(r *rng.Rand) wfInstance {
 }
 
 // baWFInstance routes random origin–destination pairs over the
-// canonical shortest-path trees of a BA map, as the engines do.
+// canonical shortest-path trees of a BA map, as the simulator does.
 // Capacities are the edge multiplicities, or with randomCaps random
 // values including dead links.
 func baWFInstance(tb testing.TB, seed uint64, flows int, randomCaps bool) wfInstance {
@@ -198,7 +197,7 @@ func baWFInstance(tb testing.TB, seed uint64, flows int, randomCaps bool) wfInst
 	return wfInstance{caps: caps, paths: paths}
 }
 
-// epochFill runs the epoch engine's pooled fill on inst, returning the
+// epochFill runs the simulator's pooled fill on inst, returning the
 // rates and leaving wf as the observation pass would find it; callers
 // then zero nflows over wf.links as that pass does.
 func epochFill(wf *wfState, inst wfInstance) []float64 {
@@ -215,47 +214,17 @@ func epochFill(wf *wfState, inst wfInstance) []float64 {
 	return rates
 }
 
-// eventFill solves inst as one event-engine component over ev's
-// pooled kernel arrays, returning the rates.
-func eventFill(ev *eventSim, h *wfHeap, inst wfInstance) []float64 {
-	nl := len(inst.caps)
-	ev.ctx = &simContext{capEdge: inst.caps}
-	ev.wf.grow(nl)
-	ev.nact = make([]int32, nl)
-	ev.lflows = make([][]int32, nl)
-	ev.load = make([]float64, nl)
-	ev.flows = ev.flows[:0]
-	var c bottleneckComp
-	for fid, p := range inst.paths {
-		ev.flows = append(ev.flows, evFlow{rate: -1, path: p})
-		c.flows = append(c.flows, int32(fid))
-		for _, e := range p {
-			if ev.nact[e] == 0 {
-				c.links = append(c.links, e)
-			}
-			ev.nact[e]++
-			ev.lflows[e] = append(ev.lflows[e], int32(fid))
-		}
-	}
-	ev.solveComponent(&c, h)
-	rates := make([]float64, len(ev.flows))
-	for i := range ev.flows {
-		rates[i] = ev.flows[i].rate
-	}
-	return rates
-}
-
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // checkAgainstScan asserts the indexed-heap kernel reproduces the scan
-// allocator bit for bit, in both engines' tie-break ranks.
-func checkAgainstScan(t *testing.T, name string, inst wfInstance, wf *wfState, ev *eventSim, h *wfHeap) {
+// allocator bit for bit.
+func checkAgainstScan(t *testing.T, name string, inst wfInstance, wf *wfState) {
 	t.Helper()
 	rates := epochFill(wf, inst)
-	wantRates, wantLinks, wantCap := scanFill(inst.paths, inst.caps, false)
+	wantRates, wantLinks, wantCap := scanFill(inst.paths, inst.caps)
 	for i := range rates {
 		if !sameBits(rates[i], wantRates[i]) {
-			t.Fatalf("%s: epoch flow %d rate %v, scan %v", name, i, rates[i], wantRates[i])
+			t.Fatalf("%s: flow %d rate %v, scan %v", name, i, rates[i], wantRates[i])
 		}
 	}
 	if len(wf.links) != len(wantLinks) {
@@ -270,46 +239,29 @@ func checkAgainstScan(t *testing.T, name string, inst wfInstance, wf *wfState, e
 		}
 		wf.nflows[e] = 0
 	}
-
-	rates = eventFill(ev, h, inst)
-	wantRates, wantLinks, wantCap = scanFill(inst.paths, inst.caps, true)
-	for i := range rates {
-		if !sameBits(rates[i], wantRates[i]) {
-			t.Fatalf("%s: event flow %d rate %v, scan %v", name, i, rates[i], wantRates[i])
-		}
-	}
-	for _, e := range wantLinks {
-		if !sameBits(ev.wf.capRem[e], wantCap[e]) {
-			t.Fatalf("%s: event link %d capRem %v, scan %v", name, e, ev.wf.capRem[e], wantCap[e])
-		}
-	}
 }
 
 // TestWaterFillMatchesScan pins the indexed-heap kernel to the scan
 // oracle on seeded random instances and on BA routing-tree instances,
-// reusing one pooled state throughout as the engines do.
+// reusing one pooled state throughout as the simulator does.
 func TestWaterFillMatchesScan(t *testing.T) {
 	wf := &wfState{}
-	ev := &eventSim{}
-	h := &wfHeap{}
 	r := rng.New(42)
 	for i := 0; i < 2000; i++ {
-		checkAgainstScan(t, fmt.Sprintf("random instance %d", i), randomWFInstance(r), wf, ev, h)
+		checkAgainstScan(t, fmt.Sprintf("random instance %d", i), randomWFInstance(r), wf)
 	}
 	for seed := uint64(1); seed <= 4; seed++ {
 		for _, randomCaps := range []bool{false, true} {
 			inst := baWFInstance(t, seed, 300*int(seed), randomCaps)
-			checkAgainstScan(t, fmt.Sprintf("BA seed %d randomCaps=%v", seed, randomCaps), inst, wf, ev, h)
+			checkAgainstScan(t, fmt.Sprintf("BA seed %d randomCaps=%v", seed, randomCaps), inst, wf)
 		}
 	}
 }
 
-// TestWaterFillCertificate checks both engines' kernel output against
-// the independent max-min certificate.
+// TestWaterFillCertificate checks the kernel's output against the
+// independent max-min certificate.
 func TestWaterFillCertificate(t *testing.T) {
 	wf := &wfState{}
-	ev := &eventSim{}
-	h := &wfHeap{}
 	check := func(name string, inst wfInstance) {
 		t.Helper()
 		rates := epochFill(wf, inst)
@@ -317,10 +269,7 @@ func TestWaterFillCertificate(t *testing.T) {
 			wf.nflows[e] = 0
 		}
 		if err := maxMinCertificate(inst.paths, inst.caps, rates); err != nil {
-			t.Fatalf("%s, epoch kernel: %v", name, err)
-		}
-		if err := maxMinCertificate(inst.paths, inst.caps, eventFill(ev, h, inst)); err != nil {
-			t.Fatalf("%s, event kernel: %v", name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 	r := rng.New(7)

@@ -183,15 +183,9 @@ func (s *onOffSource) Arrivals(dt float64) int {
 // and vary LoadFactor and TailIndex as sweep axes. The zero value of
 // every optional field means its documented default.
 type WorkloadSpec struct {
-	// Engine selects the simulation engine: "epoch" (default) re-solves
-	// the max-min allocation from scratch every epoch — the pinned
-	// reference implementation — while "event" runs the event-calendar
-	// engine, which pre-draws arrivals, predicts departures on a heap
-	// and re-solves only the bottleneck components whose flow membership
-	// changed, solving independent components in parallel. Both engines
-	// simulate the same epoch-quantized dynamics from the same random
-	// streams; "event" reaches the same completion times up to
-	// floating-point association order and is the one that scales.
+	// Engine names the simulator: "epoch", the default and only value,
+	// re-solves the max-min allocation every epoch. The field stays so
+	// specs and grids that name it keep parsing, and reports echo it.
 	Engine string `json:"engine,omitempty"`
 	// Arrivals names the arrival process: "poisson" (default) or
 	// "onoff".
@@ -232,16 +226,9 @@ type WorkloadSpec struct {
 	Failures *FailureSpec `json:"failures,omitempty"`
 }
 
-// The simulation engines selectable through WorkloadSpec.Engine.
-const (
-	// EngineEpoch is the discrete-epoch reference: a full max-min
-	// water-filling pass over every active flow, every epoch.
-	EngineEpoch = "epoch"
-	// EngineEvent is the event-calendar engine: pre-drawn arrivals, a
-	// predicted-departure heap, and incremental per-component rate
-	// recomputation parallelized across independent bottleneck groups.
-	EngineEvent = "event"
-)
+// EngineEpoch is the simulator WorkloadSpec.Engine names: a full
+// max-min water-filling pass over every active flow, every epoch.
+const EngineEpoch = "epoch"
 
 // workloadDefaults are the resolved fallbacks of WorkloadSpec.
 const (
@@ -316,9 +303,11 @@ func (sp WorkloadSpec) Validate() error {
 		}
 	}
 	switch sp.Engine {
-	case EngineEpoch, EngineEvent:
+	case EngineEpoch:
+	case "event":
+		return errors.New(`traffic: the event engine was removed; omit "engine" or set it to "epoch"`)
 	default:
-		return fmt.Errorf("traffic: unknown engine %q (have %s, %s)", sp.Engine, EngineEpoch, EngineEvent)
+		return fmt.Errorf("traffic: unknown engine %q (have %s)", sp.Engine, EngineEpoch)
 	}
 	switch sp.Arrivals {
 	case "poisson", "onoff":

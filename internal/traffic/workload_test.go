@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"netmodel/internal/rng"
@@ -23,11 +24,17 @@ func TestWorkloadSpecDefaults(t *testing.T) {
 }
 
 func TestWorkloadSpecValidate(t *testing.T) {
-	good := WorkloadSpec{LoadFactor: 0.5}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
+	for _, engine := range []string{"", EngineEpoch} {
+		if err := (WorkloadSpec{Engine: engine, LoadFactor: 0.5}).Validate(); err != nil {
+			t.Fatalf("engine %q: %v", engine, err)
+		}
+	}
+	err := WorkloadSpec{Engine: "event", LoadFactor: 0.5}.Validate()
+	if err == nil || !strings.Contains(err.Error(), "event engine was removed") {
+		t.Fatalf("engine \"event\": err = %v, want the removal notice", err)
 	}
 	bad := []WorkloadSpec{
+		{LoadFactor: 0.5, Engine: "quantum"},
 		{LoadFactor: 0.5, Arrivals: "burst"},
 		{LoadFactor: 0.5, Sizes: "weibull"},
 		{LoadFactor: 0},
