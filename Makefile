@@ -73,11 +73,13 @@ bench-failures:
 # direction-optimizing hybrid (10k smoke row plus the acceptance size,
 # 100k by default, where the hybrid must clear its 2x floor), one
 # max-min solve of ~20k tree-routed flows, indexed-heap water-fill vs
-# the scan oracle (3x floor at 100k), then the steady-state rows the
-# allocation ceilings gate: per-epoch marginal allocations of the
-# simulator and per-refresh allocations of the warm distance map and
-# routing state under edge churn. Rows land
-# in BENCH_kernels.json; the CI smoke runs the 10k variant under -race.
+# the scan oracle (3x floor at 100k), the path-histogram rows — 200
+# sampled sources on the map's giant component, bit-parallel
+# multi-source BFS vs one BFS per source (4x floor at 100k) — then the
+# steady-state rows the allocation ceilings gate: per-epoch marginal
+# allocations of the simulator and per-refresh allocations of the warm
+# distance map and routing state under edge churn. Rows land in
+# BENCH_kernels.json; the CI smoke runs the 10k variant under -race.
 bench-kernels:
 	$(GO) test ./internal/traffic/ -run TestKernelsBenchJSON -kernels-bench-out $(CURDIR)/BENCH_kernels.json
 

@@ -20,9 +20,11 @@ import (
 // fanned out to eight workload variants, swept cold (cache disabled,
 // the pre-cache baseline) and then warm (every stage served from a
 // primed cache). The cold sweep pays generation + whole-graph metrics
-// once per invocation; the warm sweep pays only the workload stage, so
-// the ratio is the amortization a repeated sweep — the toposerve-style
-// usage — actually sees:
+// once per invocation — its path-length stage runs the batched
+// multi-source BFS, 64 sources per traversal, so it is far cheaper
+// than one BFS per source; the warm sweep pays only the workload
+// stage, so the ratio is the amortization a repeated sweep — the
+// toposerve-style usage — actually sees:
 //
 //	make bench-cache   # merges cold/warm rows into BENCH_sweep.json
 var (

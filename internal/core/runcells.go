@@ -186,18 +186,20 @@ func (g *cellGroup) run(a groupArtifacts, cached bool) groupOut {
 }
 
 // runWorkloadsRouted simulates the specs sequentially over one owned
-// Routing, hoisting the degree masses. Each spec draws from a fresh
-// workload stream split off the cell seed — the stream a dedicated cell
-// would use — so the reports match independent cells byte for byte.
+// Routing, hoisting the degree masses and sharing one simulation
+// scratch. Each spec draws from a fresh workload stream split off the
+// cell seed — the stream a dedicated cell would use — so the reports
+// match independent cells byte for byte.
 func (c Cell) runWorkloadsRouted(snap *graph.Snapshot, specs []*traffic.WorkloadSpec, rt *traffic.Routing) ([]*traffic.SimReport, error) {
 	masses := make([]float64, snap.N())
 	for u := range masses {
 		masses[u] = float64(snap.Degree(u))
 	}
+	scr := traffic.NewSimScratch()
 	reports := make([]*traffic.SimReport, len(specs))
 	for i, sp := range specs {
 		_, _, _, wr := c.streams()
-		wl, err := traffic.Simulate(snap, masses, *sp, wr, c.Workers, traffic.WithRouting(rt))
+		wl, err := traffic.Simulate(snap, masses, *sp, wr, c.Workers, traffic.WithRouting(rt), traffic.WithSimScratch(scr))
 		if err != nil {
 			return nil, fmt.Errorf("core: workload on %s: %w", c.Model, err)
 		}

@@ -43,7 +43,8 @@ type Engine struct {
 
 	mu      sync.Mutex
 	memo    map[string]*memoEntry
-	inherit map[string]func() any // incremental computations for the current snapshot, by bare key
+	inherit map[string]func() any   // incremental computations for the current snapshot, by bare key
+	msIdle  []*metrics.MSBFSScratch // per-worker multi-source BFS scratch between PathLengths calls
 }
 
 type memoEntry struct {

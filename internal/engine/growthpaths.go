@@ -27,7 +27,7 @@ func (e *Engine) GrowthDistMap(pivots []int32) *metrics.DistMap {
 // GrowthPathStats is the trajectory-mode path-length observation:
 // derived from the maintained histogram of the distance map, O(diam)
 // per epoch once the map is repaired. Exact mode reproduces
-// PathLengthsFrozen over all sources bit for bit — note the whole-graph
+// PathLengths over all sources bit for bit — note the whole-graph
 // convention, not Measure's giant-component one.
 func (e *Engine) GrowthPathStats(pivots []int32) metrics.PathStats {
 	dm := e.GrowthDistMap(pivots)

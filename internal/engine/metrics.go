@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"netmodel/internal/metrics"
+	"netmodel/internal/par"
 	"netmodel/internal/rng"
 )
 
@@ -115,10 +116,12 @@ func (e *Engine) perNodeBFS(reduce func(dist []int32, n int) float64) []float64 
 }
 
 // PathLengths measures shortest-path statistics from every node
-// (sources <= 0 or >= N) or a uniform sample, sharding BFS roots across
-// the pool. The per-worker reductions are integer histograms, so the
-// merged statistics are bit-identical to the sequential PathLengths.
-// Exact (unsampled) runs are memoized.
+// (sources <= 0 or >= N) or a uniform sample. The sources run through
+// the bit-parallel multi-source BFS in batches of metrics.MSBatch, one
+// batch per pool task; each batch folds its level popcounts straight
+// into an integer histogram and the histograms merge in batch order, so
+// the statistics are bit-identical to one BFS per source at every
+// worker count. Exact (unsampled) runs are memoized.
 func (e *Engine) PathLengths(r *rng.Rand, sources int) (metrics.PathStats, error) {
 	n := e.s.N()
 	if sources <= 0 || sources >= n {
@@ -137,29 +140,38 @@ func (e *Engine) PathLengths(r *rng.Rand, sources int) (metrics.PathStats, error
 
 func (e *Engine) pathLengths(r *rng.Rand, sources int) (metrics.PathStats, error) {
 	s := e.s
-	n := s.N()
-	srcs, err := metrics.PathSources(n, r, sources)
+	srcs, err := metrics.PathSources(s.N(), r, sources)
 	if err != nil {
 		return metrics.PathStats{}, err
 	}
-	type pathScratch struct {
-		dist []int32
-		sc   *metrics.BFSScratch
-		hist metrics.PathHistogram
+	// Spread the sources evenly over the fewest batches: a traversal
+	// costs about the same whether it carries 8 sources or 64, so even
+	// batches balance the pool.
+	batches := (len(srcs) + metrics.MSBatch - 1) / metrics.MSBatch
+	size := (len(srcs) + batches - 1) / batches
+	hists := make([]metrics.PathHistogram, batches)
+	// Take the engine's idle scratch, so repeated measurements of one
+	// snapshot (a cell's Measure, then its comparison's) reuse the
+	// masks; a concurrent caller finds none and allocates its own.
+	e.mu.Lock()
+	scratch := e.msIdle
+	e.msIdle = nil
+	e.mu.Unlock()
+	if scratch == nil {
+		scratch = make([]*metrics.MSBFSScratch, e.workers)
 	}
-	scratch := make([]*pathScratch, e.workers)
-	e.parallelFor(len(srcs), func(w, i int) {
+	par.ForEach(batches, e.workers, func(w, b int) {
 		if scratch[w] == nil {
-			scratch[w] = &pathScratch{dist: make([]int32, n), sc: metrics.NewBFSScratch(n)}
+			scratch[w] = metrics.NewMSBFSScratch(s.N())
 		}
-		metrics.BFSHybrid(s, srcs[i], scratch[w].dist, scratch[w].sc)
-		scratch[w].hist.AccumulateDistances(srcs[i], scratch[w].dist)
+		hists[b].AccumulateSources(s, srcs[b*size:min((b+1)*size, len(srcs))], scratch[w])
 	})
+	e.mu.Lock()
+	e.msIdle = scratch
+	e.mu.Unlock()
 	var total metrics.PathHistogram
-	for _, sc := range scratch {
-		if sc != nil {
-			total.Merge(&sc.hist)
-		}
+	for b := range hists {
+		total.Merge(&hists[b])
 	}
 	return total.ToStats(len(srcs)), nil
 }

@@ -510,7 +510,7 @@ func (dm *DistMap) rebase(workers int) {
 }
 
 // accumulate folds one source row into (sign > 0) or out of (sign < 0)
-// the aggregates, the integer mirror of PathHistogram.AccumulateDistances.
+// the aggregates.
 func (dm *DistMap) accumulate(src int32, dist []int32, sign int) {
 	for v, d := range dist {
 		if int32(v) == src || d <= 0 {
@@ -528,17 +528,8 @@ func (dm *DistMap) accumulate(src int32, dist []int32, sign int) {
 	}
 }
 
-// add and sub maintain a PathHistogram one distance at a time, with the
-// same growth idiom as AccumulateDistances so merged and incremental
-// histograms are interchangeable.
-func (h *PathHistogram) add(d int32) {
-	for int(d) >= len(h.Counts) {
-		h.Counts = append(h.Counts, make([]int64, len(h.Counts)+8)...)
-	}
-	h.Counts[d]++
-	h.Sum += int64(d)
-	h.Total++
-}
+// add and sub maintain a PathHistogram one distance at a time.
+func (h *PathHistogram) add(d int32) { h.addPairs(int64(d), 1) }
 
 func (h *PathHistogram) sub(d int32) {
 	h.Counts[d]--
@@ -670,10 +661,10 @@ func growDist(dist []int32, n int) []int32 {
 }
 
 // RefreshPathLengths reduces the map's maintained histogram to
-// PathStats. In exact mode the result is bit-identical to
-// PathLengthsFrozen over the same snapshot with all sources; in sampled
-// mode it is the same estimator PathLengthsFrozen computes for the
-// map's pivot set.
+// PathStats. In exact mode the result is bit-identical to the engine's
+// PathLengths over the same snapshot with all sources; in sampled mode
+// it is the same estimator PathLengths computes for the map's pivot
+// set.
 func RefreshPathLengths(dm *DistMap) PathStats {
 	return dm.hist.ToStats(len(dm.sources))
 }

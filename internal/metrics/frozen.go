@@ -243,30 +243,16 @@ func PathSources(n int, r *rng.Rand, sources int) ([]int, error) {
 }
 
 // PathHistogram is the exact integer reduction of a set of BFS sources:
-// counts[d] pairs at distance d, plus the running sum and diameter.
-// Merging histograms and converting with ToStats reproduces the
-// floating-point results of PathLengths bit for bit, because every
-// intermediate quantity is integral.
+// Counts[d] (source, node) pairs at distance d >= 1, their distance
+// Sum and pair Total. AccumulateSources fills it level by level from
+// the multi-source kernel's popcounts; the incremental DistMap keeps
+// one under repair. Merging histograms and converting with ToStats
+// reproduces the floating-point results of PathLengths bit for bit,
+// because every intermediate quantity is integral.
 type PathHistogram struct {
 	Counts []int64
 	Sum    int64
 	Total  int64
-}
-
-// AccumulateDistances folds one BFS distance vector (from source src)
-// into the histogram.
-func (h *PathHistogram) AccumulateDistances(src int, dist []int32) {
-	for v, d := range dist {
-		if v == src || d <= 0 {
-			continue
-		}
-		for int(d) >= len(h.Counts) {
-			h.Counts = append(h.Counts, make([]int64, len(h.Counts)+8)...)
-		}
-		h.Counts[d]++
-		h.Sum += int64(d)
-		h.Total++
-	}
 }
 
 // Merge adds other into h.
@@ -300,23 +286,6 @@ func (h *PathHistogram) ToStats(sources int) PathStats {
 		}
 	}
 	return st
-}
-
-// PathLengthsFrozen is PathLengths over a snapshot.
-func PathLengthsFrozen(s *graph.Snapshot, r *rng.Rand, sources int) (PathStats, error) {
-	n := s.N()
-	srcs, err := PathSources(n, r, sources)
-	if err != nil {
-		return PathStats{}, err
-	}
-	dist := make([]int32, n)
-	sc := NewBFSScratch(n)
-	var h PathHistogram
-	for _, src := range srcs {
-		BFSHybrid(s, src, dist, sc)
-		h.AccumulateDistances(src, dist)
-	}
-	return h.ToStats(len(srcs)), nil
 }
 
 // EccentricityFrozen is Eccentricity over a snapshot.

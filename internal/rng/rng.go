@@ -218,11 +218,17 @@ func (r *Rand) Normal(mean, stddev float64) float64 {
 // with continuity correction, which is accurate to within the needs of
 // workload generation.
 func (r *Rand) Poisson(mean float64) int {
+	return r.PoissonExp(mean, math.Exp(-mean))
+}
+
+// PoissonExp is Poisson for callers that draw repeatedly at one mean:
+// l must be math.Exp(-mean), which the small-mean method needs and the
+// caller can compute once. The draws are Poisson's, bit for bit.
+func (r *Rand) PoissonExp(mean, l float64) int {
 	if mean <= 0 {
 		return 0
 	}
 	if mean < 30 {
-		l := math.Exp(-mean)
 		k := 0
 		p := 1.0
 		for {

@@ -19,10 +19,12 @@ import (
 // The kernel benchmarks are the acceptance surface of the hot paths:
 // the direction-optimizing hybrid BFS against the classic queue kernel
 // on cold shortest-path-tree builds, the indexed-heap max-min
-// water-fill against the scanFill oracle, and the marginal allocation
-// cost of one steady-state operation — a simulate epoch, a DistMap
-// refresh, a Routing refresh — measured by differencing
-// seeded-deterministic runs so one-time setup cancels exactly. The
+// water-fill against the scanFill oracle, the bit-parallel
+// multi-source path histogram against one BFS per source, and the
+// marginal allocation cost of one steady-state operation — a simulate
+// epoch, a DistMap refresh, a Routing refresh — measured by
+// differencing seeded-deterministic runs so one-time setup cancels
+// exactly. The
 // allocation rows are gated from above by benchcheck's
 // max_allocs_per_op / max_bytes_per_op ceilings (0 for the steady
 // states), the speedup rows from below by the usual floors:
@@ -138,6 +140,74 @@ func kernelsColdTreeRows(t *testing.T, n int, rows []kernelsRow) []kernelsRow {
 			Cores: cores, NumCPU: ncpu, NsPerOp: hybrid.Nanoseconds() / nsrc,
 			Speedup: speedup, SpeedupVs: "kernels-coldtree-classic",
 			AllocsPerOp: fptr(allocsPerOp), BytesPerOp: fptr(bytesPerOp)})
+}
+
+// kernelsPathRows times the path-length histogram of nsrc sampled
+// sources over the giant component of the BA map: one hybrid BFS per
+// source with its distance row folded pair by pair, against the
+// bit-parallel multi-source kernel the engine runs, which carries 64
+// sources per traversal and folds level popcounts. Both must produce
+// the same histogram.
+func kernelsPathRows(t *testing.T, n int, rows []kernelsRow) []kernelsRow {
+	t.Helper()
+	const nsrc = 200
+	snap, _ := kernelsFreezeBA(t, n, 1).GiantComponent()
+	srcs, err := metrics.PathSources(snap.N(), rng.New(3), nsrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist := make([]int32, snap.N())
+	bfs := metrics.NewBFSScratch(snap.N())
+	perSource := func() metrics.PathHistogram {
+		var h metrics.PathHistogram
+		for _, src := range srcs {
+			metrics.BFSHybrid(snap, src, dist, bfs)
+			for v, d := range dist {
+				if v == src || d <= 0 {
+					continue
+				}
+				for int(d) >= len(h.Counts) {
+					h.Counts = append(h.Counts, 0)
+				}
+				h.Counts[d]++
+				h.Sum += int64(d)
+				h.Total++
+			}
+		}
+		return h
+	}
+	ms := metrics.NewMSBFSScratch(snap.N())
+	multi := func() metrics.PathHistogram {
+		var h metrics.PathHistogram
+		h.AccumulateSources(snap, srcs, ms)
+		return h
+	}
+	// Warm both kernels and pin the histograms equal.
+	want, got := perSource(), multi()
+	if got.Sum != want.Sum || got.Total != want.Total {
+		t.Fatalf("n=%d: multi-source sum %d total %d, per-source %d %d", n, got.Sum, got.Total, want.Sum, want.Total)
+	}
+	for d, c := range want.Counts {
+		if d < len(got.Counts) && got.Counts[d] != c || d >= len(got.Counts) && c != 0 {
+			t.Fatalf("n=%d: multi-source and per-source histograms differ at d=%d", n, d)
+		}
+	}
+	start := time.Now()
+	perSource()
+	single := time.Since(start)
+	start = time.Now()
+	multi()
+	batched := time.Since(start)
+	speedup := float64(single) / float64(batched)
+	cores, ncpu := runtime.GOMAXPROCS(0), runtime.NumCPU()
+	t.Logf("paths n=%d (giant %d), %d sources: per-source %v, multi-source %v (%.2fx)",
+		n, snap.N(), nsrc, single, batched, speedup)
+	return append(rows,
+		kernelsRow{Name: "kernels-paths-persource", N: n, Sources: nsrc, Workers: 1,
+			Cores: cores, NumCPU: ncpu, NsPerOp: single.Nanoseconds()},
+		kernelsRow{Name: "kernels-paths-msbfs", N: n, Sources: nsrc, Workers: 1,
+			Cores: cores, NumCPU: ncpu, NsPerOp: batched.Nanoseconds(),
+			Speedup: speedup, SpeedupVs: "kernels-paths-persource"})
 }
 
 // kernelsWorkload derives a steady workload over a frozen BA map: load
@@ -438,10 +508,11 @@ func kernelsRoutingResetRow(t *testing.T, rows []kernelsRow) []kernelsRow {
 }
 
 // TestKernelsBenchJSON emits BENCH_kernels.json: cold-tree-build
-// speedup rows (hybrid vs classic BFS) and water-fill speedup rows
-// (indexed heap vs scan), each at the 10k smoke plus the acceptance
-// size, and the steady-state allocation rows both benchcheck ceilings
-// and the CI race smoke run against. Disabled unless -kernels-bench-out
+// speedup rows (hybrid vs classic BFS), water-fill speedup rows
+// (indexed heap vs scan) and path-histogram speedup rows (multi-source
+// vs per-source BFS), each at the 10k smoke plus the acceptance size,
+// and the steady-state allocation rows both benchcheck ceilings and
+// the CI race smoke run against. Disabled unless -kernels-bench-out
 // is set.
 func TestKernelsBenchJSON(t *testing.T) {
 	if *kernelsBenchOut == "" {
@@ -457,6 +528,9 @@ func TestKernelsBenchJSON(t *testing.T) {
 	}
 	for _, n := range sizes {
 		rows = kernelsWaterfillRows(t, n, rows)
+	}
+	for _, n := range sizes {
+		rows = kernelsPathRows(t, n, rows)
 	}
 	rows = kernelsEpochSteadyRow(t, rows)
 	rows = kernelsRefreshRows(t, rows)

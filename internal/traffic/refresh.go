@@ -40,6 +40,7 @@ func (rt *Routing) Snapshot() *graph.Snapshot { return rt.s }
 // relationship between the old and new snapshots.
 func (rt *Routing) Reset(next *graph.Snapshot) {
 	rt.s = next
+	rt.edges = nil
 	rt.rfArcEdge = next.FillArcEdgeIDs(rt.rfArcEdge)
 	rt.arcEdge = rt.rfArcEdge
 	rt.max = RoutingTreeBudget(next.N())
@@ -204,6 +205,7 @@ func (rt *Routing) Refresh(next *graph.Snapshot, d *graph.Delta, workers int) {
 	par.ForEach(len(srcs), w, rt.rfBody)
 
 	rt.s = next
+	rt.edges = nil
 	rt.arcEdge = arcEdge
 	rt.max = RoutingTreeBudget(n)
 

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"encoding/json"
 	"reflect"
 	"sort"
 	"testing"
@@ -153,4 +154,46 @@ func countTreeBuilds(t *testing.T, s *graph.Snapshot, masses []float64, spec Wor
 		}
 	}
 	return builds, len(ctx.srcNodes), segments
+}
+
+// TestRoutingResetSimulatesLikeFresh moves a routing state that has
+// already served a simulation onto another map of the same size: the
+// next simulation over it must match one over fresh routing state, so
+// nothing derived from the old map — trees, memoized paths, the edge
+// list behind the link capacities — may survive the Reset.
+func TestRoutingResetSimulatesLikeFresh(t *testing.T) {
+	var snaps []*graph.Snapshot
+	for m := 2; m <= 3; m++ {
+		top, err := gen.BA{N: 400, M: m}.Generate(rng.New(uint64(m)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, top.G.Freeze())
+	}
+	masses := UniformMasses(400)
+	spec := WorkloadSpec{LoadFactor: 0.6, Epochs: 6}
+	rt := NewRouting(snaps[0])
+	if _, err := Simulate(snaps[0], masses, spec, rng.New(3), 1, WithRouting(rt)); err != nil {
+		t.Fatal(err)
+	}
+	rt.Reset(snaps[1])
+	reused, err := Simulate(snaps[1], masses, spec, rng.New(3), 1, WithRouting(rt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Simulate(snaps[1], masses, spec, rng.New(3), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := json.Marshal(reused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := json.Marshal(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(rb) != string(fb) {
+		t.Fatalf("simulation over a reset routing state diverged from fresh state\nreused: %s\nfresh:  %s", rb, fb)
+	}
 }

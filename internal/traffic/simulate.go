@@ -36,6 +36,10 @@ type Routing struct {
 	// one snapshot, load ladders over a shared state — skip the BFS
 	// entirely.
 	memo pathMemo
+	// edges is the snapshot's edge list, built on a simulation's first
+	// demand and shared by every later run over this state (a sweep's
+	// workload variants); Reset and Refresh drop it.
+	edges []graph.Edge
 	// builds counts BFS distance fields computed on the routing path:
 	// trees built by Ensure and distance rows computed by route
 	// resolution.
@@ -207,7 +211,17 @@ func (rt *Routing) MemBytes() int64 {
 	b += 4 * int64(cap(rt.memo.arena))
 	b += 8 * int64(cap(rt.memo.keys))
 	b += memoEntryBytes * int64(len(rt.memo.index))
+	b += 24 * int64(cap(rt.edges)) // graph.Edge: three ints
 	return b
+}
+
+// edgeList returns the snapshot's edge list, building it on first use.
+// Callers must not modify it.
+func (rt *Routing) edgeList() []graph.Edge {
+	if rt.edges == nil {
+		rt.edges = rt.s.EdgeList()
+	}
+	return rt.edges
 }
 
 // newTree pops a pooled tree (arrays intact, contents stale) or
@@ -663,7 +677,7 @@ type simContext struct {
 	// srcNodes are the origins with positive mass, ascending; streams
 	// and sources are indexed alongside.
 	srcNodes []int
-	streams  []*rng.Rand
+	streams  []rng.Rand
 	sources  []ArrivalSource
 	sizes    SizeDist
 	alias    *rng.Alias
@@ -764,14 +778,17 @@ func newSimContext(s *graph.Snapshot, rt *Routing, masses []float64, spec Worklo
 	if positive < 2 {
 		return nil, errors.New("traffic: workload needs at least two positive masses")
 	}
-	alias, err := rng.NewAliasTable(masses)
+	if cfg.scratch == nil {
+		cfg.scratch = &SimScratch{} // private to this run
+	}
+	alias, err := cfg.scratch.aliasFor(masses)
 	if err != nil {
 		return nil, err
 	}
 
 	// Link capacities: edge multiplicity × the capacity unit, unless
 	// overridden per edge.
-	edges := s.EdgeList()
+	edges := rt.edgeList()
 	capEdge := make([]float64, len(edges))
 	var capTotal float64
 	if cfg.linkCaps != nil {
@@ -807,16 +824,13 @@ func newSimContext(s *graph.Snapshot, rt *Routing, masses []float64, spec Worklo
 			srcNodes = append(srcNodes, u)
 		}
 	}
-	streams := make([]*rng.Rand, len(srcNodes))
+	streams := make([]rng.Rand, len(srcNodes))
 	sources := make([]ArrivalSource, len(srcNodes))
 	for i, u := range srcNodes {
-		streams[i] = r.Split(uint64(u))
-		sources[i] = proc.NewSource(streams[i], lambdaTotal*masses[u]/sumMass)
+		r.SplitInto(&streams[i], uint64(u))
+		sources[i] = proc.NewSource(&streams[i], lambdaTotal*masses[u]/sumMass)
 	}
 
-	if cfg.scratch == nil {
-		cfg.scratch = &SimScratch{} // private to this run
-	}
 	ctx := &simContext{
 		s: s, rt: rt, spec: spec, cfg: cfg, workers: workers,
 		edges: edges, capEdge: capEdge,
@@ -879,7 +893,7 @@ func buildCalendar(ctx *simContext) flatCalendar {
 	start := sc.cal.start[:0]
 	for i, u := range ctx.srcNodes {
 		start = append(start, int32(len(arr)))
-		r := ctx.streams[i]
+		r := &ctx.streams[i]
 		for e := 0; e < epochs; e++ {
 			k := ctx.sources[i].Arrivals(dt)
 			for j := 0; j < k; j++ {

@@ -99,9 +99,13 @@ type PoissonArrivals struct{}
 // Name implements ArrivalProcess.
 func (PoissonArrivals) Name() string { return "poisson" }
 
+// poissonSource caches exp(-rate·dt) for the last window length: runs
+// advance every source by the same epoch length, so the exponential is
+// computed once per source instead of once per epoch.
 type poissonSource struct {
-	r    *rng.Rand
-	rate float64
+	r        *rng.Rand
+	rate     float64
+	dt, expm float64
 }
 
 // NewSource implements ArrivalProcess.
@@ -110,7 +114,10 @@ func (PoissonArrivals) NewSource(r *rng.Rand, rate float64) ArrivalSource {
 }
 
 func (s *poissonSource) Arrivals(dt float64) int {
-	return s.r.Poisson(s.rate * dt)
+	if dt != s.dt {
+		s.dt, s.expm = dt, math.Exp(-s.rate*dt)
+	}
+	return s.r.PoissonExp(s.rate*dt, s.expm)
 }
 
 // OnOffArrivals is the Markov-modulated burst process: a source
